@@ -52,7 +52,6 @@ class RunConfig:
     positions: tuple[float, ...] = (0.0,)
     points: tuple[float, ...] = ()
     tolerance: float = 0.0
-    threads: int = 0
     n1: int = 2
     n2: int = 1
     p: int = 1
@@ -63,7 +62,10 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
         kwargs = {}
         for f in fields(cls):
             if f.name in data:
@@ -254,15 +256,15 @@ def _suite_sampler_vs_kernel(cfg: RunConfig) -> list[dict]:
     spec = cfg.spec()
     draws = cfg.draws
     checks = []
+    if cfg.N > 4:
+        raise UsageError(f"sampler-vs-kernel runs N <= 4, got --N {cfg.N}")
+    N = cfg.N if cfg.N > 1 else 3
+    proc = ProcessSpec(spec, N)
     if spec.kind == op.GAUSSIAN:
-        N = min(cfg.N, 4) if cfg.N > 1 else 3
         batch = samplers.sample_gue_minor_batch(N, draws, cfg.seed)
-        proc = ProcessSpec(spec, N)
         edges = np.linspace(-3.8, 3.8, 61)
     else:
-        N = min(cfg.N, 4) if cfg.N > 1 else 3
         batch = samplers.sample_projection_batch(spec, N, N - 1, draws, cfg.seed)
-        proc = ProcessSpec(spec, N)
         edges = (np.linspace(0, 1, 26) if spec.kind == op.JACOBI
                  else np.linspace(0, 30.0 + 4 * spec.a, 51))
     # without --tolerance each bin gets the per-bin noise bound, with the 1%
@@ -397,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--threads", type=int)
         p.add_argument("--tolerance", type=float)
 
     p = sub.add_parser("density", help="finite-N one-point functions on a grid")
@@ -484,11 +485,11 @@ _REQUIRED = {
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    file_data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = RunConfig.from_json(fh.read())
-    else:
-        cfg = RunConfig()
+            file_data = json.load(fh)
+    cfg = RunConfig.from_dict(file_data)
     cfg.subcommand = args.subcommand
     given = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "subcommand")}
     if "grid" in given:
@@ -504,10 +505,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         env = os.environ.get("MINORKERN_SEED")
         if env is not None:
             cfg.seed = int(env)
-    explicit = set(given)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            explicit |= set(json.loads(fh.read()))
+    explicit = set(given) | set(file_data)
     for name in _REQUIRED.get(cfg.subcommand, ()):
         if name not in explicit:
             raise UsageError(f"missing required --{name}")

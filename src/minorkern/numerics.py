@@ -65,35 +65,3 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def panel_quad(f, a: float, b: float, n_panels: int, order: int = 16) -> float:
-    """Composite Gauss-Legendre quadrature of a vectorized integrand."""
-    edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gl_nodes(lo, hi, order)
-        total += float(np.dot(w, f(x)))
-    return total
-
-
-def oscillatory_tail(panel_sums: np.ndarray, min_levels: int = 3) -> tuple[float, float]:
-    """Sum a conditionally convergent series of signed panel integrals.
-
-    Applies iterated pairwise averaging to the partial-sum sequence (Euler
-    style); returns (value, error_estimate).  The input panels should each
-    cover about half a period of the dominant oscillation.
-    """
-    s = np.cumsum(panel_sums)
-    best = s[-1]
-    err = abs(panel_sums[-1]) if len(panel_sums) else 0.0
-    level = 0
-    while len(s) >= 2 and level < 40:
-        s = 0.5 * (s[1:] + s[:-1])
-        spread = np.ptp(s[-min(4, len(s)):])
-        if level >= min_levels and spread < err:
-            best, err = s[-1], spread
-        elif level < min_levels:
-            best, err = s[-1], spread
-        level += 1
-    return float(best), float(err)

@@ -380,42 +380,20 @@ def sample_wishart_chain_inhomogeneous(p: int, pis, pihats, seed: int, draw: int
 
     Column n has squared component moduli exponential with rate pi_i +
     pihat_n; new eigenvalues come from the rank-one secular equation in the
-    running eigenbasis.  Returns species n -> its n positive eigenvalues.
+    running eigenbasis.  Returns species n -> its n positive eigenvalues; row
+    `draw` of sample_wishart_chain_batch.
     """
-    pis = np.asarray(pis, dtype=float)
-    pihats = np.asarray(pihats, dtype=float)
-    if len(pis) < p or len(pihats) < p:
-        raise ValueError("need p intensities on each side")
-    rng = rng_stream(seed, draw)
-    A = np.zeros((p, p), dtype=complex)
-    out: dict[int, np.ndarray] = {}
-    eigs = np.zeros(0)
-    for n in range(p):
-        rates = pis[:p] + pihats[n]
-        mods = rng.exponential(1.0 / rates)
-        phases = rng.uniform(0.0, 2.0 * math.pi, p)
-        x = np.sqrt(mods) * np.exp(1j * phases)
-        if n == 0:
-            eigs = np.array([float(np.sum(mods))])
-        else:
-            d, U = np.linalg.eigh(A)
-            y = np.abs(U.conj().T @ x) ** 2
-            poles = d[p - n:]
-            w = y[p - n:]
-            w0 = float(np.sum(y[: p - n]))
-            eigs = secular_roots(SecularProblem(poles, w, LUE_UPDATE, zero_pole_weight=w0))
-        A = A + np.outer(x, x.conj())
-        out[n + 1] = eigs
-    return out
+    batch = sample_wishart_chain_batch(p, pis, pihats, 1, seed, start=draw)
+    return {n: v[0] for n, v in batch.items()}
 
 
 def sample_wishart_chain_batch(p: int, pis, pihats, draws: int, seed: int,
                                start: int = 0) -> dict[int, np.ndarray]:
-    """Vectorized version of sample_wishart_chain_inhomogeneous over draws."""
-    from .samplers import _lue_roots_vec
-
+    """sample_wishart_chain_inhomogeneous over draws; species n -> array (draws, n)."""
     pis = np.asarray(pis, dtype=float)
     pihats = np.asarray(pihats, dtype=float)
+    if len(pis) < p or len(pihats) < p:
+        raise ValueError("need p intensities on each side")
     xs = np.empty((draws, p, p), dtype=complex)
     for d in range(draws):
         rng = rng_stream(seed, start + d)
@@ -432,10 +410,8 @@ def sample_wishart_chain_batch(p: int, pis, pihats, draws: int, seed: int,
         else:
             d_all, U = np.linalg.eigh(A)
             y = np.abs(np.einsum("dij,dj->di", U.conj().transpose(0, 2, 1), x)) ** 2
-            poles = d_all[:, p - n:]
-            w = y[:, p - n:]
-            w0 = np.sum(y[:, : p - n], axis=1)
-            eigs = _lue_roots_vec(poles, w, w0)
+            eigs = secular_roots(SecularProblem(d_all[:, p - n:], y[:, p - n:], LUE_UPDATE,
+                                                zero_pole_weight=np.sum(y[:, : p - n], axis=1)))
         A = A + x[:, :, None] * x.conj()[:, None, :]
         out[n + 1] = eigs
     return out

@@ -41,12 +41,13 @@ GUE_BORDERED = "gue-bordered"
 LUE_UPDATE = "lue-update"
 PROJECTION = "projection"
 
-# poles closer than this are merged (weights added) before root finding
-POLE_MERGE_GAP = 1e-12
-
 
 def rng_stream(seed: int, draw: int = 0) -> np.random.Generator:
     """Counter-based generator for one draw; streams never overlap."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0 <= draw < 2**128:
+        raise ValueError(f"draw must be in [0, 2**128), got {draw}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=draw << 128))
 
 
@@ -71,11 +72,16 @@ class InterlacedChain:
 
 @dataclass(frozen=True)
 class SecularProblem:
-    """Rational secular equation fixed by poles, weights and its form.
+    """Rational secular equation sum_i w_i/(x - p_i) = c(x), fixed by poles,
+    weights and its form.
 
-    GUE bordered: f(x) = x - a - sum w_i/(x - p_i)          (n+1 roots)
-    LUE update:   f(x) = 1 - w0/x - sum w_i/(x - p_i)       (n+1 roots, poles > 0)
-    projection:   f(x) = sum w_i/(x - p_i)                  (n-1 interior roots)
+    GUE bordered: c(x) = x - border                      (n+1 roots)
+    LUE update:   c(x) = 1, plus a pole at 0 of weight zero_pole_weight
+                                                          (n+1 roots, poles > 0)
+    projection:   c(x) = 0                               (n-1 interior roots)
+
+    poles and weights have shape (n,) for one problem or (draws, n) for a
+    stack of them; border and zero_pole_weight are scalars or one per draw.
     """
 
     poles: np.ndarray
@@ -87,119 +93,91 @@ class SecularProblem:
     def __post_init__(self):
         p = np.asarray(self.poles, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if p.shape != w.shape:
-            raise ValueError("poles and weights must have matching shapes")
-        if np.any(np.diff(p) <= 0):
-            raise ValueError("poles must be strictly increasing")
+        if p.shape != w.shape or p.ndim not in (1, 2):
+            raise ValueError("poles and weights must have matching shapes (n,) or (draws, n)")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
+            raise ValueError("poles and weights must be finite")
+        if np.any(np.nextafter(p[..., :-1], np.inf) >= p[..., 1:]):
+            raise ValueError("poles must be strictly increasing, with a double between neighbours")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if self.form not in (GUE_BORDERED, LUE_UPDATE, PROJECTION):
             raise ValueError(f"unknown secular form {self.form!r}")
-
-
-def _merge_close_poles(poles, weights):
-    """Merge near-degenerate poles, adding weights; returns (p, w, merged?)."""
-    if len(poles) < 2 or np.all(np.diff(poles) >= POLE_MERGE_GAP):
-        return poles, weights, False
-    p_out, w_out = [poles[0]], [weights[0]]
-    for p, w in zip(poles[1:], weights[1:]):
-        if p - p_out[-1] < POLE_MERGE_GAP:
-            w_out[-1] += w
-        else:
-            p_out.append(p)
-            w_out.append(w)
-    return np.array(p_out), np.array(w_out), True
+        if self.form == LUE_UPDATE:
+            if p.shape[-1] and np.any(p[..., 0] <= 0):
+                raise ValueError("LUE poles must be positive")
+            if np.any(np.asarray(self.zero_pole_weight) <= 0):
+                raise ValueError("zero-pole weight must be positive")
 
 
 def secular_roots(prob: SecularProblem) -> np.ndarray:
-    """All real roots, sorted; each satisfies |f| below 1e-10 of local scale."""
-    poles = np.asarray(prob.poles, dtype=float)
-    weights = np.asarray(prob.weights, dtype=float)
-    poles, weights, _ = _merge_close_poles(poles, weights)
+    """All real roots, increasing along the last axis, for every stacked problem.
+
+    sum_i w_i/(x - p_i) falls from +inf to -inf between consecutive poles and
+    c(x) is nondecreasing, so each gap (and each exterior interval: above the
+    last pole for LUE and bordered, below the first for bordered) holds one
+    root.  All of them are bisected together until no bracket moves (adjacent
+    doubles), or for at most 110 halvings.
+    """
+    p = np.asarray(prob.poles, dtype=float)
+    w = np.asarray(prob.weights, dtype=float)
+    one = p.ndim == 1
+    p, w = np.atleast_2d(p), np.atleast_2d(w)
+    draws = p.shape[0]
+    border = np.broadcast_to(np.asarray(prob.border, dtype=float), (draws,))[:, None]
     if prob.form == LUE_UPDATE:
-        if len(poles) and poles[0] <= 0:
-            raise ValueError("LUE poles must be positive")
-        poles = np.concatenate([[0.0], poles])
-        weights = np.concatenate([[prob.zero_pole_weight], weights])
-        if weights[0] <= 0:
-            raise ValueError("zero-pole weight must be positive")
+        w0 = np.broadcast_to(np.asarray(prob.zero_pole_weight, dtype=float), (draws,))
+        p = np.concatenate([np.zeros((draws, 1)), p], axis=1)
+        w = np.concatenate([w0[:, None], w], axis=1)
+    if p.shape[1] == 0 and prob.form == GUE_BORDERED:
+        return border[0].copy() if one else border.copy()
 
-    def f(x):
-        return _secular_value(prob.form, prob.border, poles, weights, x)
+    def excess(x):
+        # sum_i w_i/(x - p_i) - c(x) for candidates x of shape (draws, k)
+        s = np.sum(w[:, None, :] / (x[:, :, None] - p[:, None, :]), axis=2)
+        if prob.form == GUE_BORDERED:
+            return s - (x - border)
+        return s - 1.0 if prob.form == LUE_UPDATE else s
 
-    roots = []
-    # interior roots: one per gap between consecutive poles
-    for lo, hi in zip(poles[:-1], poles[1:]):
-        roots.append(_bisect_root(f, lo, hi))
-    if prob.form in (GUE_BORDERED, LUE_UPDATE):
-        # exterior root above the last pole (and below the first for bordered)
-        if len(poles):
-            roots.append(_exterior_root(f, poles[-1], +1.0, weights))
-            if prob.form == GUE_BORDERED:
-                roots.insert(0, _exterior_root(f, poles[0], -1.0, weights))
-        else:
-            roots.append(prob.border if prob.form == GUE_BORDERED else 1.0)
-    return np.array(sorted(roots))
-
-
-def _secular_value(form, border, poles, weights, x):
-    s = np.sum(weights / (x - poles)) if len(poles) else 0.0
-    if form == GUE_BORDERED:
-        return x - border - s
-    if form == LUE_UPDATE:
-        return 1.0 - s
-    return s
-
-
-def _bisect_root(f, lo, hi):
-    """Bisection on a pole-bounded bracket, then two safeguarded Newton steps."""
-    gap = hi - lo
-    eps = 1e-14 * max(gap, 1.0)
-    a, b = lo + eps, hi - eps
-    fa, fb = f(a), f(b)
-    # f runs from +inf side to -inf side between consecutive poles for all
-    # three forms (residues positive), so a sign change is guaranteed
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise NumericError(f"no sign change in bracket ({lo}, {hi})")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if b - a < 1e-13 * max(abs(a), abs(b), 1e-300):
+    scale = np.maximum(np.abs(p).max(axis=1, initial=0.0), 1.0)[:, None]
+    eps = 1e-14 * scale
+    gap_eps = np.minimum(eps, 0.25 * np.diff(p, axis=1))
+    # never at a pole, even when the gap is only a few doubles wide
+    lo = np.maximum(p[:, :-1] + gap_eps, np.nextafter(p[:, :-1], np.inf))
+    hi = np.minimum(p[:, 1:] - gap_eps, np.nextafter(p[:, 1:], -np.inf))
+    if prob.form != PROJECTION:
+        step = np.maximum(np.sqrt(w.sum(axis=1, keepdims=True)), 1.0)
+        top = _outer_end(lambda x: excess(x) > 0, p[:, -1:], step)
+        lo, hi = np.hstack([lo, p[:, -1:] + eps]), np.hstack([hi, top])
+    if prob.form == GUE_BORDERED:
+        bottom = _outer_end(lambda x: excess(x) < 0, p[:, :1], -step)
+        lo, hi = np.hstack([bottom, lo]), np.hstack([p[:, :1] - eps, hi])
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        up = excess(mid) >= 0
+        new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        # an unchanged bracket is a fixed point, so stopping here returns
+        # the same roots as running every halving
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
-    x = 0.5 * (a + b)
-    for _ in range(2):
-        h = 1e-7 * max(abs(x), 1e-12)
-        df = (f(x + h) - f(x - h)) / (2 * h)
-        if df != 0.0:
-            step = f(x) / df
-            if a < x - step < b:
-                x -= step
-    return x
+        lo, hi = new_lo, new_hi
+    roots = 0.5 * (lo + hi)
+    return roots[0] if one else roots
 
 
-def _exterior_root(f, pole, direction, weights):
-    """Root beyond the extreme pole; bracket grows geometrically."""
-    total = float(np.sum(weights))
-    step = max(math.sqrt(total), 1e-6)
-    lo = pole + direction * 1e-14 * max(abs(pole), 1.0)
-    f_lo = f(pole + direction * max(1e-9, 1e-12 * abs(pole)))
-    for _ in range(200):
-        hi = pole + direction * step
-        if f(hi) * f_lo < 0:
-            a, b = (lo, hi) if direction > 0 else (hi, lo)
-            return _bisect_root(f, min(a, b), max(a, b))
-        step *= 2.0
-    raise NumericError("exterior bracket expansion failed")
+def _outer_end(beyond, pole, step):
+    """pole + step * 2**k with the least k where the root is not beyond it."""
+    end = pole + step
+    bad = beyond(end)
+    for _ in range(120):
+        if not np.any(bad):
+            break
+        step = np.where(bad, step * 2.0, step)
+        end = np.where(bad, pole + step, end)
+        bad = beyond(end)
+    if np.any(bad):
+        raise NumericError("exterior bracket expansion failed")
+    return end
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +202,21 @@ def _complex_gaussian(rng, shape) -> np.ndarray:
 
 
 def sample_gue_minor_chain(N: int, seed: int, draw: int = 0) -> InterlacedChain:
-    """Eigenvalues of all nested principal minors of one Gaussian draw."""
-    if not 1 <= N <= 400:
-        raise ValueError("need 1 <= N <= 400")
-    rng = rng_stream(seed, draw)
-    m = _gue_matrix(rng, N)
-    species = {s: np.linalg.eigvalsh(m[:s, :s]) for s in range(1, N + 1)}
-    return InterlacedChain(species, op.GAUSSIAN, N, seed, draw)
+    """Eigenvalues of all nested principal minors of one Gaussian draw; row
+    `draw` of sample_gue_minor_batch."""
+    batch = sample_gue_minor_batch(N, 1, seed, start=draw)
+    return InterlacedChain(_first_row(batch), op.GAUSSIAN, N, seed, draw)
 
 
 def sample_lue_chain(N: int, n_max: int, seed: int, draw: int = 0) -> InterlacedChain:
-    """Rank-one-update Wishart chain; species n holds the n nonzero eigenvalues."""
-    if not 1 <= n_max <= N:
-        raise ValueError("need 1 <= n_max <= N")
-    rng = rng_stream(seed, draw)
-    species: dict[int, np.ndarray] = {}
-    eigs = np.zeros(0)
-    for n in range(n_max):
-        x = _complex_gaussian(rng, N)
-        w = np.abs(x) ** 2
-        if n == 0:
-            eigs = np.array([float(np.sum(w))])
-        else:
-            prob = SecularProblem(eigs, w[:n], LUE_UPDATE,
-                                  zero_pole_weight=float(np.sum(w[n:])))
-            eigs = secular_roots(prob)
-        species[n + 1] = eigs
-    return InterlacedChain(species, op.LAGUERRE, N, seed, draw)
+    """Rank-one-update Wishart chain; species n holds the n nonzero eigenvalues.
+    Row `draw` of sample_lue_batch."""
+    batch = sample_lue_batch(N, n_max, 1, seed, start=draw)
+    return InterlacedChain(_first_row(batch), op.LAGUERRE, N, seed, draw)
+
+
+def _first_row(batch: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    return {s: v[0] for s, v in batch.items()}
 
 
 def sample_ensemble_eigs(ensemble: op.EnsembleSpec, n: int, seed: int, draw: int = 0) -> np.ndarray:
@@ -284,19 +250,10 @@ def _integer_exponent(v: float, name: str) -> int:
 
 def sample_projection_chain(ensemble: op.EnsembleSpec, n: int, depth: int,
                             seed: int, draw: int = 0) -> InterlacedChain:
-    """Base ensemble draw followed by `depth` corank-1 random projections."""
-    if not 0 <= depth < n:
-        raise ValueError("need 0 <= depth < n")
-    rng = rng_stream(seed, draw)
-    eigs = np.sort(_ensemble_eigs_rng(ensemble, n, rng))
-    species = {n: eigs}
-    for m in range(n, n - depth, -1):
-        x = _complex_gaussian(rng, m)
-        w = np.abs(x) ** 2
-        w /= np.sum(w)
-        eigs = secular_roots(SecularProblem(eigs, w, PROJECTION))
-        species[m - 1] = eigs
-    return InterlacedChain(species, ensemble.kind, n, seed, draw)
+    """Base ensemble draw followed by `depth` corank-1 random projections; row
+    `draw` of sample_projection_batch."""
+    batch = sample_projection_batch(ensemble, n, depth, 1, seed, start=draw)
+    return InterlacedChain(_first_row(batch), ensemble.kind, n, seed, draw)
 
 
 def interlaces(chain: InterlacedChain, strict: bool = True) -> bool:
@@ -321,6 +278,8 @@ def interlaces(chain: InterlacedChain, strict: bool = True) -> bool:
 
 def sample_gue_minor_batch(N: int, draws: int, seed: int, start: int = 0) -> dict[int, np.ndarray]:
     """Species -> array (draws, s) of sorted minor eigenvalues."""
+    if not 1 <= N <= 400:
+        raise ValueError("need 1 <= N <= 400")
     mats = np.empty((draws, N, N), dtype=complex)
     for d in range(draws):
         mats[d] = _gue_matrix(rng_stream(seed, start + d), N)
@@ -328,99 +287,46 @@ def sample_gue_minor_batch(N: int, draws: int, seed: int, start: int = 0) -> dic
 
 
 def sample_lue_batch(N: int, n_max: int, draws: int, seed: int, start: int = 0) -> dict[int, np.ndarray]:
-    """Vectorized rank-one-update chain; identical in law to sample_lue_chain."""
+    """Rank-one-update Wishart chain over draws; species n -> array (draws, n)."""
+    if not 1 <= n_max <= N:
+        raise ValueError("need 1 <= n_max <= N")
     xs = np.empty((draws, n_max, N), dtype=complex)
     for d in range(draws):
         rng = rng_stream(seed, start + d)
         for n in range(n_max):
             xs[d, n] = _complex_gaussian(rng, N)
     w = np.abs(xs) ** 2
-    out: dict[int, np.ndarray] = {}
     eigs = w[:, 0, :].sum(axis=1)[:, None]
-    out[1] = eigs.copy()
+    out = {1: eigs}
     for n in range(1, n_max):
-        poles = eigs
-        wn = w[:, n, :n]
-        w0 = w[:, n, n:].sum(axis=1)
-        eigs = _lue_roots_vec(poles, wn, w0)
-        out[n + 1] = eigs.copy()
+        prob = SecularProblem(eigs, w[:, n, :n], LUE_UPDATE,
+                              zero_pole_weight=w[:, n, n:].sum(axis=1))
+        eigs = secular_roots(prob)
+        out[n + 1] = eigs
     return out
-
-
-def _lue_roots_vec(poles, weights, w0):
-    """Vectorized bisection for 1 - w0/x - sum w/(x - p) over all draws."""
-    draws, n = poles.shape
-    allp = np.concatenate([np.zeros((draws, 1)), poles], axis=1)
-    allw = np.concatenate([w0[:, None], weights], axis=1)
-
-    def fval(x):
-        # x: (draws, n+1) candidate per gap
-        return 1.0 - np.sum(allw[:, None, :] / (x[:, :, None] - allp[:, None, :]), axis=2)
-
-    gaps_lo = allp
-    width = np.diff(allp, axis=1)
-    scale = np.maximum(np.abs(allp[:, -1]), 1.0)
-    # interior brackets plus a geometrically grown exterior bracket
-    lo = np.concatenate([gaps_lo[:, :-1] + 1e-14 * scale[:, None], (allp[:, -1] + 1e-14 * scale)[:, None]], axis=1)
-    hi_int = allp[:, 1:] - 1e-14 * scale[:, None]
-    tot = np.sum(allw, axis=1)
-    ext = allp[:, -1] + np.maximum(np.sqrt(tot), 1.0)
-    bad = fval(ext[:, None] * np.ones((draws, 1)))[:, 0] < 0
-    grow = np.maximum(np.sqrt(tot), 1.0)
-    for _ in range(120):
-        if not np.any(bad):
-            break
-        grow = np.where(bad, grow * 2.0, grow)
-        ext = np.where(bad, allp[:, -1] + grow, ext)
-        bad = fval(ext[:, None])[:, 0] < 0
-    if np.any(bad):
-        raise NumericError("exterior bracket expansion failed in batch solver")
-    hi = np.concatenate([hi_int, ext[:, None]], axis=1)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = fval(mid) > 0
-        # f rises from -inf to +inf across each gap: positive value means the
-        # root lies below mid
-        lo = np.where(pos, lo, mid)
-        hi = np.where(pos, mid, hi)
-    return 0.5 * (lo + hi)
 
 
 def sample_projection_batch(ensemble: op.EnsembleSpec, n: int, depth: int,
                             draws: int, seed: int, start: int = 0) -> dict[int, np.ndarray]:
-    """Vectorized corank-1 projection chain with per-draw streams."""
+    """Corank-1 projection chain over draws; species m -> array (draws, m)."""
+    if not 0 <= depth < n:
+        raise ValueError("need 0 <= depth < n")
+    sizes = range(n, n - depth, -1)
     base = np.empty((draws, n))
-    gauss = np.empty((draws, depth), dtype=object)
+    gauss = [np.empty((draws, m), dtype=complex) for m in sizes]
     for d in range(draws):
         rng = rng_stream(seed, start + d)
         base[d] = np.sort(_ensemble_eigs_rng(ensemble, n, rng))
-        for i, m in enumerate(range(n, n - depth, -1)):
-            gauss[d, i] = _complex_gaussian(rng, m)
+        for g, m in zip(gauss, sizes):
+            g[d] = _complex_gaussian(rng, m)
     out = {n: base}
     eigs = base
-    for i, m in enumerate(range(n, n - depth, -1)):
-        w = np.abs(np.stack([gauss[d, i] for d in range(draws)])) ** 2
+    for g, m in zip(gauss, sizes):
+        w = np.abs(g) ** 2
         w /= w.sum(axis=1, keepdims=True)
-        eigs = _projection_roots_vec(eigs, w)
+        eigs = secular_roots(SecularProblem(eigs, w, PROJECTION))
         out[m - 1] = eigs
     return out
-
-
-def _projection_roots_vec(poles, weights):
-    """Vectorized bisection for sum w/(x - p) = 0 on interior gaps."""
-    scale = np.maximum(np.abs(poles).max(axis=1, keepdims=True), 1.0)
-    lo = poles[:, :-1] + 1e-15 * scale
-    hi = poles[:, 1:] - 1e-15 * scale
-
-    def fval(x):
-        return np.sum(weights[:, None, :] / (x[:, :, None] - poles[:, None, :]), axis=2)
-
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = fval(mid) > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from scipy import integrate, special
 
 from . import orthopoly as op
 from .kernel import ProcessSpec, SpeciesPoint, _kernel_slog
-from .numerics import gl_nodes, oscillatory_tail, slog_to_float
+from .numerics import gl_nodes, slog_to_float
 
 __all__ = [
     "SOFT_FIXED",

@@ -30,6 +30,17 @@ class TestExitCodes:
         assert run(["density", "--N", "1", "--ensemble", "laguerre", "--a", "-2",
                     "--grid", "0:1:1"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, seed, capsys):
+        assert run(["sample", "--process", "gue-minor", "--N", "2", "--draws", "3",
+                    "--seed", seed]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+    def test_sampler_vs_kernel_rejects_large_N(self, capsys):
+        assert run(["validate", "--suite", "sampler-vs-kernel", "--N", "7",
+                    "--draws", "10"]) == 2
+        assert "N <= 4" in capsys.readouterr().err
+
 
 class TestDensity:
     def test_single_value(self, tmp_path, capsys):

@@ -328,7 +328,14 @@ class TestWishartChain:
         batch = sample_wishart_chain_batch(4, [0.5] * 4, [0.5] * 4, 20, seed=23)
         single = sample_wishart_chain_inhomogeneous(4, [0.5] * 4, [0.5] * 4, seed=23, draw=11)
         for n in single:
-            np.testing.assert_allclose(batch[n][11], single[n], rtol=1e-8, atol=1e-10)
+            np.testing.assert_array_equal(batch[n][11], single[n])
+
+    def test_chunked_batch_equals_slice(self):
+        pis, pihats = [0.4, 0.5, 0.7, 0.3], [0.6, 0.2, 0.5, 0.8]
+        whole = sample_wishart_chain_batch(4, pis, pihats, 12, seed=31)
+        chunk = sample_wishart_chain_batch(4, pis, pihats, 5, seed=31, start=7)
+        for n in whole:
+            np.testing.assert_array_equal(chunk[n], whole[n][7:12])
 
     def test_homogeneous_limit_matches_lue_chain(self):
         p, draws = 4, 20000

@@ -14,6 +14,7 @@ from minorkern.samplers import (
     chains_from_csv,
     chains_to_csv,
     interlaces,
+    rng_stream,
     sample_ensemble_eigs,
     sample_gue_minor_batch,
     sample_gue_minor_chain,
@@ -76,10 +77,29 @@ class TestSecular:
             assert abs(val) < 1e-10
 
     def test_merges_degenerate_poles(self):
-        poles = np.array([1.0, 1.0 + 1e-14, 2.0])
+        # nearly coincident poles still bound a gap that holds one root: a
+        # chain level has exactly one point fewer than the level above
+        two_doubles_up = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
         w = np.array([0.3, 0.3, 0.4])
-        roots = secular_roots(SecularProblem(poles, w, PROJECTION))
-        assert len(roots) == 1  # merged pair leaves two effective poles
+        for second in (1.0 + 1e-14, two_doubles_up):
+            poles = np.array([1.0, second, 2.0])
+            roots = secular_roots(SecularProblem(poles, w, PROJECTION))
+            assert len(roots) == 2
+            assert np.all(poles[:-1] < roots) and np.all(roots < poles[1:])
+
+    def test_stacked_problems_match_one_by_one(self):
+        rng = np.random.default_rng(2)
+        poles = np.sort(rng.uniform(0.1, 5.0, (6, 4)), axis=1)
+        w = rng.uniform(0.1, 1.0, (6, 4))
+        border = rng.normal(size=6)
+        w0 = rng.uniform(0.1, 1.0, 6)
+        for form in (GUE_BORDERED, LUE_UPDATE, PROJECTION):
+            stacked = secular_roots(SecularProblem(poles, w, form, border=border,
+                                                   zero_pole_weight=w0))
+            for d in range(6):
+                one = secular_roots(SecularProblem(poles[d], w[d], form, border=border[d],
+                                                   zero_pole_weight=w0[d]))
+                np.testing.assert_array_equal(stacked[d], one)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,6 +108,49 @@ class TestSecular:
             SecularProblem(np.array([1.0]), np.array([-1.0]), PROJECTION)
         with pytest.raises(ValueError):
             SecularProblem(np.array([1.0]), np.array([1.0]), "other")
+        # stacked problems are checked along the last axis, row by row
+        with pytest.raises(ValueError):
+            SecularProblem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((2, 2)), PROJECTION)
+        with pytest.raises(ValueError):
+            SecularProblem(np.array([[1.0, 2.0], [1.0, 2.0]]), np.ones((2, 2)), LUE_UPDATE,
+                           zero_pole_weight=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            SecularProblem(np.array([1.0, np.nan]), np.ones(2), PROJECTION)
+        # no double lies strictly between these poles, so no root can interlace
+        with pytest.raises(ValueError):
+            SecularProblem(np.array([1.0, np.nextafter(1.0, 2.0)]), np.ones(2), PROJECTION)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed, draw", [(-1, 0), (2**64, 0), (0, -1)])
+    def test_invalid_seed_or_draw(self, seed, draw):
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*"):
+            rng_stream(seed, draw)
+
+    def test_range_ends_accepted(self):
+        rng_stream(0, 0)
+        rng_stream(2**64 - 1, 2**128 - 1)
+
+
+def _projection_batch(ensemble):
+    return lambda draws, seed, start: sample_projection_batch(ensemble, 4, 2, draws, seed, start)
+
+
+BATCH_SAMPLERS = {
+    "gue-minor": lambda draws, seed, start: sample_gue_minor_batch(4, draws, seed, start),
+    "lue-chain": lambda draws, seed, start: sample_lue_batch(5, 3, draws, seed, start),
+    "projection-gaussian": _projection_batch(GAUSS),
+    "projection-jacobi": _projection_batch(JAC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SAMPLERS))
+def test_chunked_batch_equals_slice(name):
+    sampler = BATCH_SAMPLERS[name]
+    whole = sampler(12, 31, 0)
+    chunk = sampler(5, 31, 7)
+    for s in whole:
+        np.testing.assert_array_equal(chunk[s], whole[s][7:12])
 
 
 class TestGueMinorChain:
@@ -122,7 +185,7 @@ class TestGueMinorChain:
         for d in (0, 13, 49):
             single = sample_gue_minor_chain(4, seed=9, draw=d)
             for s in single.species:
-                np.testing.assert_allclose(batch[s][d], single.species[s], atol=1e-12)
+                np.testing.assert_array_equal(batch[s][d], single.species[s])
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -161,7 +224,7 @@ class TestLueChain:
         for d in (0, 39):
             single = sample_lue_chain(5, 3, seed=6, draw=d)
             for s in single.species:
-                np.testing.assert_allclose(batch[s][d], single.species[s], rtol=1e-9, atol=1e-11)
+                np.testing.assert_array_equal(batch[s][d], single.species[s])
 
 
 class TestProjectionChain:
@@ -181,10 +244,12 @@ class TestProjectionChain:
                 assert np.all((v > 0) & (v < 1))
 
     def test_batch_matches_single(self):
-        batch = sample_projection_batch(GAUSS, 4, 2, 30, seed=5)
-        single = sample_projection_chain(GAUSS, 4, 2, seed=5, draw=7)
-        for s in single.species:
-            np.testing.assert_allclose(batch[s][7], single.species[s], rtol=1e-9, atol=1e-12)
+        for ensemble in (GAUSS, JAC):
+            batch = sample_projection_batch(ensemble, 4, 2, 30, seed=5)
+            for d in (0, 7, 29):
+                single = sample_projection_chain(ensemble, 4, 2, seed=5, draw=d)
+                for s in single.species:
+                    np.testing.assert_array_equal(batch[s][d], single.species[s])
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
