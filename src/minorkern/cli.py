@@ -179,7 +179,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 def cmd_lpp(cfg: RunConfig) -> int:
     rep = rsklab.lpp_eigenvalue_bridge_test(cfg.n, cfg.draws, cfg.seed, scale=cfg.scale)
-    _write(cfg.out, rsklab.report_to_json(rep) + "\n")
+    _write(cfg.out, scaling.report_to_json(rep) + "\n")
     print(f"lpp bridge n={cfg.n}: KS={rep['statistic']:.4f} crit={rep['critical_value']:.4f} "
           f"{'PASS' if rep['pass'] else 'FAIL'}")
     return 0 if rep["pass"] else NUMERIC_ERROR

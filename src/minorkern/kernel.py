@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
 
 from . import orthopoly as op
 from .numerics import (
@@ -87,19 +86,8 @@ def _log_gamma_coef(spec: op.EnsembleSpec, shift: int, j: int) -> tuple[float, f
 
 
 def _log_gamma_vec(spec: op.EnsembleSpec, shift: int, degs: np.ndarray) -> np.ndarray:
-    """log |gamma_j| over an array of degrees."""
-    degs = np.asarray(degs, dtype=float)
-    if spec.kind == op.GAUSSIAN:
-        ln = degs * math.log(2.0) + gammaln(degs + 1.0) + 0.5 * math.log(math.pi)
-        return 0.5 * ln
-    if spec.kind == op.LAGUERRE:
-        a = spec.a + shift
-        ln = gammaln(degs + a + 1.0) - gammaln(degs + 1.0)
-        return gammaln(degs + 1.0) + 0.5 * ln
-    a, b = spec.a + shift, spec.b + shift
-    ln = (gammaln(degs + a + 1.0) + gammaln(degs + b + 1.0) - gammaln(degs + 1.0)
-          - np.log(2.0 * degs + a + b + 1.0) - gammaln(degs + a + b + 1.0))
-    return gammaln(degs + 1.0) + 0.5 * ln
+    """log |gamma_j| over an integer array of degrees."""
+    return op.log_abs_e(spec.kind, degs) + 0.5 * op.log_norm_constant(op.ShiftedFamily(spec, shift), degs)
 
 
 def phi_conv(n1: int, n2: int, x: float, y: float) -> float:
@@ -301,7 +289,7 @@ def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, max_term
     eta_y = op.eta_table(proc.family(t), t + kmax, y)
     sign0 = (-1.0) ** ((t - s - 1) % 2)
     gauge = 0.5 * (op.log_weight(proc.family(s), x) - op.log_weight(proc.family(t), y))
-    i = np.arange(kmax + 1, dtype=float)
+    i = np.arange(kmax + 1)
     lg1 = _log_gamma_vec(spec, proc.N - s, s + i)
     lg2 = _log_gamma_vec(spec, proc.N - t, t + i)
     sgn = np.full(kmax + 1, (-1.0) ** ((s + t) % 2) if spec.kind == op.GAUSSIAN else 1.0)

@@ -8,11 +8,13 @@ Bessel-J evaluations needed by the scaling kernels.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.special import gammaln
 
 GAUSSIAN = "gaussian"
 LAGUERRE = "laguerre"
@@ -166,59 +168,126 @@ def log_weight(fam, x: float) -> float:
     return la + lb
 
 
-def eval_poly(fam, j: int, x):
-    """p_j(x) by three-term recurrence: H_j, L_j^(a) or P_j^(a,b)(1-2x)."""
-    fam = _as_family(fam)
-    if j < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    a, b = fam.params()
-    if fam.kind == GAUSSIAN:
-        p_prev, p = np.ones_like(x), 2.0 * x
-    elif fam.kind == LAGUERRE:
-        p_prev, p = np.ones_like(x), 1.0 + a - x
-    else:
-        u = 1.0 - 2.0 * x
-        p_prev, p = np.ones_like(x), 0.5 * ((a + b + 2.0) * u + (a - b))
-    if j == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    for k in range(1, j):
-        p_prev, p = p, _step(fam.kind, a, b, k, x, p, p_prev)
-    return p if p.ndim else float(p)
+def _coeffs(fam, kmax: int):
+    """Arrays (A, B, C), k = 0..kmax-1, of p_{k+1} = (A_k x + B_k) p_k - C_k p_{k-1}.
 
-
-def _step(kind, a, b, k, x, p_k, p_km1):
-    """One recurrence step: returns p_{k+1} from p_k, p_{k-1}."""
-    if kind == GAUSSIAN:
-        return 2.0 * x * p_k - 2.0 * k * p_km1
-    if kind == LAGUERRE:
-        return ((2.0 * k + 1.0 + a - x) * p_k - (k + a) * p_km1) / (k + 1.0)
-    u = 1.0 - 2.0 * x
-    s = 2.0 * k + a + b
-    c1 = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
-    c2 = (s + 1.0) * (a * a - b * b)
-    c3 = (s + 1.0) * (s + 2.0) * s
-    c4 = 2.0 * (k + a) * (k + b) * (s + 2.0)
-    return ((c2 + c3 * u) * p_k - c4 * p_km1) / c1
-
-
-def log_norm_constant(fam, j: int) -> float:
-    """log of the squared norm N_j = integral of w * p_j**2 over the support."""
-    fam = _as_family(fam)
-    if j < 0:
+    C_0 = 0, so the recurrence starts from p_0 = 1 alone.
+    """
+    if kmax < 0:
         raise ValueError("degree must be >= 0")
     a, b = fam.params()
+    k = np.arange(kmax, dtype=float)
     if fam.kind == GAUSSIAN:
-        return j * math.log(2.0) + math.lgamma(j + 1.0) + 0.5 * math.log(math.pi)
-    if fam.kind == LAGUERRE:
-        return math.lgamma(j + a + 1.0) - math.lgamma(j + 1.0)
-    return (
-        math.lgamma(j + a + 1.0)
-        + math.lgamma(j + b + 1.0)
-        - math.lgamma(j + 1.0)
-        - math.log(2.0 * j + a + b + 1.0)
-        - math.lgamma(j + a + b + 1.0)
-    )
+        A, B, C = np.full(kmax, 2.0), np.zeros(kmax), 2.0 * k
+    elif fam.kind == LAGUERRE:
+        A, B, C = -1.0 / (k + 1.0), (2.0 * k + 1.0 + a) / (k + 1.0), (k + a) / (k + 1.0)
+    else:
+        # P_k^(a,b)(u) at u = 1 - 2x; d vanishes at k = 0 when a + b is 0 or -1
+        s = 2.0 * k + a + b
+        d = (k + 1.0) * (k + a + b + 1.0) * s
+        d[:1] = 1.0
+        A = -(s + 1.0) * (s + 2.0) * s / d
+        B = 0.5 * (s + 1.0) * (a * a - b * b + s * (s + 2.0)) / d
+        C = (k + a) * (k + b) * (s + 2.0) / d
+        A[:1], B[:1] = -(a + b + 2.0), a + 1.0
+    C[:1] = 0.0
+    return A, B, C
+
+
+def _recurrence(coeffs, x, offset):
+    """Yield (u_k, offset_k) for k = 0..len(A), where exp(offset_k) u_k is the
+    k-th term of t_{k+1} = (A_k x + B_k) t_k - C_k t_{k-1} from t_0 = exp(offset);
+    u_0 = 1, or 0 where exp(offset) is.
+
+    Whenever max(|u_k|, |u_{k-1}|) leaves [1e-250, 1e250] the pair is divided
+    by it and its log moves into the offset, so no term over- or underflows.
+    Scalar x runs on Python floats, array x on numpy rows; both round alike.
+    """
+    if np.ndim(x) == 0:
+        x, offset, rescale = float(x), float(offset), _rescale_float
+        u = 0.0 if offset == -math.inf else 1.0
+    else:
+        u, rescale = np.where(offset == -np.inf, 0.0, np.ones_like(x)), _rescale_rows
+    u_prev = 0.0
+    yield u, offset
+    # a memoryview iterates as Python floats, without a list of them
+    for a, b, c in zip(*map(memoryview, coeffs)):
+        u_prev, u = u, (a * x + b) * u - c * u_prev
+        u, u_prev, offset = rescale(u, u_prev, offset)
+        yield u, offset
+
+
+def _rescale_float(u, u_prev, offset):
+    if 1e-250 <= abs(u) <= 1e250:
+        return u, u_prev, offset  # |u_prev| <= 1e250 since the step before, so mag is in range
+    mag = max(abs(u), abs(u_prev))
+    if mag > 1e250 or (mag < 1e-250 and mag != 0.0):
+        return u / mag, u_prev / mag, offset + float(np.log(mag))
+    return u, u_prev, offset
+
+
+def _rescale_rows(u, u_prev, offset):
+    mag = np.maximum(np.abs(u), np.abs(u_prev))
+    fix = (mag > 1e250) | ((mag < 1e-250) & (mag != 0.0))
+    if fix.any():
+        mag = np.where(fix, mag, 1.0)
+        return u / mag, u_prev / mag, offset + np.log(mag)
+    return u, u_prev, offset
+
+
+def _last(rows):
+    return collections.deque(rows, maxlen=1).pop()
+
+
+def _exp_or_zero(offset, val):
+    """exp(offset) * val: 0 where the weight vanishes (offset -inf) or the
+    value falls below double range, and NaN where an input is NaN."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lg = offset + np.log(np.abs(val))
+        return np.where((val == 0.0) | (lg < -745.0) | (offset == -np.inf), 0.0, np.sign(val) * np.exp(lg))
+
+
+def eval_poly(fam, j: int, x):
+    """p_j(x) by three-term recurrence: H_j, L_j^(a) or P_j^(a,b)(1-2x)."""
+    u, offset = _last(_recurrence(_coeffs(_as_family(fam), j), np.asarray(x, dtype=float), 0.0))
+    val = u * np.exp(offset)
+    return val if np.ndim(val) else float(val)
+
+
+def log_poly(fam, j: int, x: float) -> tuple[float, float]:
+    """(sign, log|p_j(x)|); immune to overflow.
+
+    Used where polynomial values exceed double range (high degree far out in
+    the weight's tail).  Inside the oscillatory region prefer eta-based paths.
+    """
+    u, offset = _last(_recurrence(_coeffs(_as_family(fam), j), float(x), 0.0))
+    if u == 0.0:
+        return (0.0, -math.inf)
+    return (math.copysign(1.0, u), offset + math.log(abs(u)))
+
+
+def log_norm_constant(fam, j):
+    """log of the squared norm N_j = integral of w * p_j**2 over the support.
+
+    j is a degree or an integer array of degrees; a degree gives a float.
+    """
+    fam = _as_family(fam)
+    j = np.asarray(j, dtype=float)
+    if (j < 0.0).any():
+        raise ValueError("degree must be >= 0")
+    if j.ndim == 0:
+        j = float(j)
+    a, b = fam.params()
+    if fam.kind == GAUSSIAN:
+        lg = j * math.log(2.0) + gammaln(j + 1.0) + 0.5 * math.log(math.pi)
+    elif fam.kind == LAGUERRE:
+        lg = gammaln(j + a + 1.0) - gammaln(j + 1.0)
+    else:
+        # (2j + a + b + 1) Gamma(j + a + b + 1) = Gamma(j + a + b + 2) (1 + j / (j + a + b + 1)),
+        # which stays finite at j = 0 for a + b <= -1; (j == 0) only guards 0/0
+        lg = (gammaln(j + a + 1.0) + gammaln(j + b + 1.0) - gammaln(j + 1.0)
+              - gammaln(j + a + b + 2.0) - np.log1p(j / (j + a + b + 1.0 + (j == 0))))
+    return lg if np.ndim(lg) else float(lg)
 
 
 def norm_constant(fam, j: int) -> float:
@@ -248,11 +317,12 @@ def rodrigues_constants(spec: EnsembleSpec, j: int) -> RodriguesData:
     return RodriguesData(math.factorial(j), (0.0, 1.0, -1.0))
 
 
-def log_abs_e(kind: str, j: int) -> float:
-    """log |e_j| for the Rodrigues constant of the family."""
-    if kind == GAUSSIAN:
-        return 0.0
-    return math.lgamma(j + 1.0)
+def log_abs_e(kind: str, j):
+    """log |e_j| for the Rodrigues constant of the family; j a degree or an
+    integer array of degrees."""
+    if np.ndim(j):
+        return gammaln(np.asarray(j, dtype=float) + 1.0) * (kind != GAUSSIAN)
+    return 0.0 if kind == GAUSSIAN else math.lgamma(j + 1.0)
 
 
 def sign_e(kind: str, j: int) -> float:
@@ -262,185 +332,35 @@ def sign_e(kind: str, j: int) -> float:
 def eta_table(fam, kmax: int, x) -> np.ndarray:
     """All eta_k(x) = sqrt(w(x)/N_k) p_k(x) for k = 0..kmax.
 
-    Runs the orthonormal-function recurrence directly on the eta values, so no
-    norm constant is ever formed in linear scale; safe for kmax in the
-    hundreds.  Returns an array of shape (kmax+1,) + shape(x).
+    Runs the recurrence on p_k / sqrt(N_k), so no norm constant is ever
+    formed in linear scale, and carries a log offset, so entries deep in the
+    weight's tail come out right while those below double range emerge as 0.
+    Returns an array of shape (kmax+1,) + shape(x).
     """
     fam = _as_family(fam)
+    A, B, C = _coeffs(fam, kmax)
+    logn = log_norm_constant(fam, np.arange(kmax + 1))
+    # p_k / sqrt(N_k) takes A_k, B_k times sqrt(N_k/N_{k+1}), C_k times sqrt(N_{k-1}/N_{k+1})
+    r1 = np.exp(0.5 * (logn[:-1] - logn[1:]))
+    C[1:] *= np.exp(0.5 * (logn[:-2] - logn[2:]))
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    a, b = fam.params()
-    logn = [log_norm_constant(fam, k) for k in range(kmax + 2)]
-    if scalar:
-        return _eta_scalar(fam, kmax, float(x), a, b, logn)
-    logw = np.array([log_weight(fam, xi) for xi in np.atleast_1d(x)])
-    xs = np.atleast_1d(x)
-    out = np.zeros((kmax + 1, xs.size))
-    offset = 0.5 * (logw - logn[0])
-    offset = np.where(np.isfinite(offset), offset, -np.inf)
-    eta = np.where(np.isfinite(offset), 1.0, 0.0)
-    out[0] = _exp_or_zero_vec(offset, eta)
-    if kmax > 0:
-        # first step, then the generic recurrence rescaled by the norm ratios
-        if fam.kind == GAUSSIAN:
-            p1 = 2.0 * xs
-        elif fam.kind == LAGUERRE:
-            p1 = 1.0 + a - xs
-        else:
-            u = 1.0 - 2.0 * xs
-            p1 = 0.5 * ((a + b + 2.0) * u + (a - b))
-        eta_prev, eta = eta, p1 * eta * math.exp(0.5 * (logn[0] - logn[1]))
-        out[1] = _exp_or_zero_vec(offset, eta)
-        for k in range(1, kmax):
-            r1 = math.exp(0.5 * (logn[k] - logn[k + 1]))
-            r2 = math.exp(0.5 * (logn[k - 1] - logn[k + 1]))
-            nxt = _step_scaled(fam.kind, a, b, k, xs, eta, eta_prev, r1, r2)
-            eta_prev, eta = eta, nxt
-            mag = np.maximum(np.abs(eta), np.abs(eta_prev))
-            fix = (mag > 1e250) | ((mag != 0.0) & (mag < 1e-250))
-            if np.any(fix):
-                shift = np.where(fix, np.log(np.where(mag > 0, mag, 1.0)), 0.0)
-                offset = offset + shift
-                scale = np.exp(-shift)
-                eta = eta * scale
-                eta_prev = eta_prev * scale
-            out[k + 1] = _exp_or_zero_vec(offset, eta)
-    return out.reshape((kmax + 1,) + x.shape)
-
-
-def _exp_or_zero_vec(offset, val):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = offset + np.log(np.abs(np.where(val == 0.0, 1.0, val)))
-        res = np.where((val != 0.0) & (lg > -745.0), np.sign(val) * np.exp(np.minimum(lg, 709.0)), 0.0)
-    return res
-
-
-def _eta_scalar(fam, kmax, x, a, b, logn):
-    """Plain-float recurrence with a running log offset.
-
-    The offset keeps the working pair representable even when eta_0 itself
-    is far below double range (deep weight tail, high-degree families), so
-    the later entries come out right; entries below double range emerge as 0.
-    """
-    out = np.zeros(kmax + 1)
-    lw = log_weight(fam, x)
-    if lw == -math.inf:
-        return out
-    offset = 0.5 * (lw - logn[0])
-    eta = 1.0
-    out[0] = _exp_or_zero(offset)
-    if kmax == 0:
-        return out
-    if fam.kind == GAUSSIAN:
-        p1 = 2.0 * x
-    elif fam.kind == LAGUERRE:
-        p1 = 1.0 + a - x
-    else:
-        p1 = 0.5 * ((a + b + 2.0) * (1.0 - 2.0 * x) + (a - b))
-    eta_prev, eta = eta, p1 * eta * math.exp(0.5 * (logn[0] - logn[1]))
-    out[1] = _exp_or_zero(offset, eta)
-    for k in range(1, kmax):
-        r1 = math.exp(0.5 * (logn[k] - logn[k + 1]))
-        r2 = math.exp(0.5 * (logn[k - 1] - logn[k + 1]))
-        eta_prev, eta = eta, _step_scaled(fam.kind, a, b, k, x, eta * r1, eta_prev * r2, 1.0, 1.0)
-        mag = max(abs(eta), abs(eta_prev))
-        if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
-            shift = math.log(mag)
-            offset += shift
-            scale = math.exp(-shift)
-            eta *= scale
-            eta_prev *= scale
-        out[k + 1] = _exp_or_zero(offset, eta)
+    logw = np.array([log_weight(fam, xi) for xi in x.ravel()]).reshape(x.shape)
+    rows = _recurrence((A * r1, B * r1, C), x, 0.5 * (logw - logn[0]))
+    # a scalar's column is converted in one numpy call; an array's rows are
+    # converted as they come, so no second table of offsets is held
+    if x.ndim == 0:
+        t = np.fromiter(rows, dtype=[("u", float), ("offset", float)], count=kmax + 1)
+        return _exp_or_zero(t["offset"], t["u"])
+    out = np.empty((kmax + 1,) + x.shape)
+    for k, (u, off) in enumerate(rows):
+        out[k] = _exp_or_zero(off, u)
     return out
-
-
-def _exp_or_zero(offset, val=1.0):
-    if val == 0.0:
-        return 0.0
-    lg = offset + math.log(abs(val))
-    if lg < -745.0:
-        return 0.0
-    return math.copysign(math.exp(lg), val)
-
-
-def _step_scaled(kind, a, b, k, x, u_k, u_km1, r1, r2):
-    """Recurrence step for eta: like _step but with norm-ratio rescaling."""
-    if kind == GAUSSIAN:
-        return 2.0 * x * u_k * r1 - 2.0 * k * u_km1 * r2
-    if kind == LAGUERRE:
-        return ((2.0 * k + 1.0 + a - x) * u_k * r1 - (k + a) * u_km1 * r2) / (k + 1.0)
-    u = 1.0 - 2.0 * x
-    s = 2.0 * k + a + b
-    c1 = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
-    c2 = (s + 1.0) * (a * a - b * b)
-    c3 = (s + 1.0) * (s + 2.0) * s
-    c4 = 2.0 * (k + a) * (k + b) * (s + 2.0)
-    return ((c2 + c3 * u) * u_k * r1 - c4 * u_km1 * r2) / c1
-
-
-def log_poly(fam, j: int, x: float) -> tuple[float, float]:
-    """(sign, log|p_j(x)|) by a signed-log recurrence; immune to overflow.
-
-    Used where polynomial values exceed double range (high degree far out in
-    the weight's tail).  Inside the oscillatory region prefer eta-based paths.
-    """
-    fam = _as_family(fam)
-    a, b = fam.params()
-    x = float(x)
-
-    def combine(c1, v1, c2, v2):
-        # signed-log evaluation of c1*v1 + c2*v2 with v in (sign, log) form
-        terms = []
-        for c, (s, lg) in ((c1, v1), (c2, v2)):
-            if c != 0.0 and s != 0.0:
-                terms.append((math.copysign(1.0, c) * s, math.log(abs(c)) + lg))
-        if not terms:
-            return (0.0, -math.inf)
-        m = max(t[1] for t in terms)
-        tot = sum(s * math.exp(lg - m) for s, lg in terms)
-        if tot == 0.0:
-            return (0.0, -math.inf)
-        return (math.copysign(1.0, tot), m + math.log(abs(tot)))
-
-    prev = (1.0, 0.0)
-    if j == 0:
-        return prev
-    if fam.kind == GAUSSIAN:
-        cur = slog_of(2.0 * x)
-    elif fam.kind == LAGUERRE:
-        cur = slog_of(1.0 + a - x)
-    else:
-        cur = slog_of(0.5 * ((a + b + 2.0) * (1.0 - 2.0 * x) + (a - b)))
-    for k in range(1, j):
-        if fam.kind == GAUSSIAN:
-            nxt = combine(2.0 * x, cur, -2.0 * k, prev)
-        elif fam.kind == LAGUERRE:
-            nxt = combine((2.0 * k + 1.0 + a - x) / (k + 1.0), cur, -(k + a) / (k + 1.0), prev)
-        else:
-            u = 1.0 - 2.0 * x
-            s = 2.0 * k + a + b
-            c1 = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
-            nxt = combine(((s + 1.0) * (a * a - b * b) + (s + 1.0) * (s + 2.0) * s * u) / c1,
-                          cur, -2.0 * (k + a) * (k + b) * (s + 2.0) / c1, prev)
-        prev, cur = cur, nxt
-    return cur
-
-
-def slog_of(v: float) -> tuple[float, float]:
-    if v == 0.0:
-        return (0.0, -math.inf)
-    return (math.copysign(1.0, v), math.log(abs(v)))
 
 
 def eval_eta(fam, k: int, x):
     """Orthonormal function eta_k(x) = sqrt(w(x)/N_k) p_k(x)."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    x = np.asarray(x, dtype=float)
     val = eta_table(fam, k, x)[k]
     return val if val.ndim else float(val)
-
-
 def gauss_weight_nodes(fam, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes/weights for the family's weight on its natural support.
 

@@ -13,7 +13,6 @@ z^(-C(n2+p,2)-C(n2,2)) prod_s alpha_s^(-(n2+s-1)).
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 
@@ -440,7 +439,3 @@ def lpp_eigenvalue_bridge_test(n: int, draws: int, seed: int, *, scale: float = 
         "seed": seed,
         "pass": bool(stat < crit),
     }
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)

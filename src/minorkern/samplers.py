@@ -64,7 +64,6 @@ class InterlacedChain:
     N: int
     seed: int
     draw: int = 0
-    notes: tuple[str, ...] = ()
 
     def top(self) -> int:
         return max(self.species)
@@ -256,7 +255,7 @@ def sample_projection_chain(ensemble: op.EnsembleSpec, n: int, depth: int,
     return InterlacedChain(_first_row(batch), ensemble.kind, n, seed, draw)
 
 
-def interlaces(chain: InterlacedChain, strict: bool = True) -> bool:
+def interlaces(chain: InterlacedChain) -> bool:
     """Strict interlacing between every consecutive pair of species present."""
     keys = sorted(chain.species)
     for lo_s, hi_s in zip(keys[:-1], keys[1:]):
@@ -265,8 +264,7 @@ def interlaces(chain: InterlacedChain, strict: bool = True) -> bool:
         lo_v, hi_v = chain.species[lo_s], chain.species[hi_s]
         if len(hi_v) != len(lo_v) + 1:
             continue
-        ok = np.all(hi_v[:-1] < lo_v) and np.all(lo_v < hi_v[1:])
-        if strict and not ok:
+        if not (np.all(hi_v[:-1] < lo_v) and np.all(lo_v < hi_v[1:])):
             return False
     return True
 

@@ -345,23 +345,11 @@ def scaled_finite_kernel(q: LimitQuery, j: int, k: int) -> float:
 def limit_kernel(q: LimitQuery, j: int, k: int) -> float:
     """The predicted limit for scaled_finite_kernel(q, j, k), gauge-freed the
     same way (geometric mean of the (j,k),(k,j) pair off the diagonal)."""
-    cj, ck = q.offsets[j], q.offsets[k]
-    Yj, Yk = q.positions[j], q.positions[k]
-    if q.regime == SOFT_FIXED:
-        return airy_kernel(Yj, Yk)
-    if q.regime == BULK:
-        f = lambda a, b: bead_kernel(int(q.offsets[a]), q.positions[a],
-                                     int(q.offsets[b]), q.positions[b])
-    elif q.regime == HARD_EDGE:
-        f = lambda a, b: hard_edge_kernel(q.ensemble.a, int(q.offsets[a]), q.positions[a],
-                                          int(q.offsets[b]), q.positions[b])
-    else:
-        sgn = -1.0 if q.ensemble.kind == op.GAUSSIAN else 1.0
-        f = lambda a, b: extended_airy(sgn * q.offsets[a], q.positions[a],
-                                       sgn * q.offsets[b], q.positions[b])
-    if j == k:
-        return f(j, j)
-    vjk, vkj = f(j, k), f(k, j)
+    if q.regime == SOFT_FIXED or j == k:
+        # the Airy kernel is gauge-free and may be negative, which the
+        # geometric mean below would turn into |K|
+        return _limit_entry_raw(q, j, k)
+    vjk, vkj = _limit_entry_raw(q, j, k), _limit_entry_raw(q, k, j)
     if vjk == 0.0 or vkj == 0.0:
         return 0.0
     return math.copysign(math.sqrt(abs(vjk * vkj)), vjk * vkj)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy import special
 
 from minorkern import orthopoly as op
 
@@ -115,6 +116,55 @@ class TestNorms:
                 op.norm_constant(f, j), rel=1e-11)
 
 
+    @pytest.mark.parametrize("spec", [GAUSS, LAG1, JAC, op.EnsembleSpec(op.JACOBI, a=-0.5, b=-0.5)],
+                             ids=["gauss", "lag", "jac", "chebyshev"])
+    def test_array_matches_scalar(self, spec):
+        f = fam(spec, 2)
+        degs = np.arange(400)
+        got = op.log_norm_constant(f, degs)
+        assert got.shape == degs.shape
+        for j in degs:
+            assert got[j] == pytest.approx(op.log_norm_constant(f, int(j)), rel=1e-14, abs=1e-14)
+        with pytest.raises(ValueError):
+            op.log_norm_constant(f, np.array([0, -1]))
+        with pytest.raises(ValueError):
+            op.log_norm_constant(f, -1)
+
+    @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (-0.7, -0.6)])
+    def test_jacobi_degree_zero_for_a_plus_b_at_most_minus_one(self, a, b):
+        # N_0 is the Beta integral B(a+1, b+1); the generic formula is 0 * inf here
+        spec = op.EnsembleSpec(op.JACOBI, a=a, b=b)
+        assert op.norm_constant(spec, 0) == pytest.approx(special.beta(a + 1.0, b + 1.0), rel=1e-13)
+
+
+class TestLogPoly:
+    @pytest.mark.parametrize("spec,x", [
+        (LAG1, -3.0), (LAG1, 1e4),
+        (op.EnsembleSpec(op.JACOBI, a=0.5, b=1.0), -3.0),
+        (op.EnsembleSpec(op.JACOBI, a=0.5, b=1.0), 2.5),
+        (GAUSS, 1e4),
+    ], ids=["lag-neg", "lag-far", "jac-neg", "jac-right", "gauss-far"])
+    def test_degree_250_outside_support_against_mpmath(self, spec, x):
+        import mpmath
+
+        j = 250
+        sign, lg = op.log_poly(fam(spec), j, x)
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            if spec.kind == op.GAUSSIAN:
+                p = mpmath.hermite(j, xm)
+            elif spec.kind == op.LAGUERRE:
+                p = mpmath.laguerre(j, spec.a, xm)
+            else:
+                p = mpmath.jacobi(j, spec.a, spec.b, 1 - 2 * xm)
+            expect_sign, expect_log = float(mpmath.sign(p)), float(mpmath.log(abs(p)))
+        assert sign == expect_sign
+        assert lg == pytest.approx(expect_log, abs=1e-10)
+
+    def test_degree_zero(self):
+        assert op.log_poly(fam(JAC), 0, 5.0) == (1.0, 0.0)
+
+
 class TestRodriguesConstants:
     def test_gaussian(self):
         rd = op.rodrigues_constants(GAUSS, 3)
@@ -143,26 +193,26 @@ class TestEta:
     def test_high_degree_against_mpmath(self, spec, x):
         import mpmath
 
-        mpmath.mp.dps = 60
-        k = 100
-        got = op.eval_eta(fam(spec), k, x)
-        a, b = spec.a, spec.b
-        xm = mpmath.mpf(x)
-        if spec.kind == op.GAUSSIAN:
-            p = mpmath.hermite(k, xm)
-            logn = k * mpmath.log(2) + mpmath.log(mpmath.factorial(k)) + 0.5 * mpmath.log(mpmath.pi)
-            logw = -xm * xm
-        elif spec.kind == op.LAGUERRE:
-            p = mpmath.laguerre(k, a, xm)
-            logn = mpmath.log(mpmath.gamma(k + a + 1) / mpmath.gamma(k + 1))
-            logw = a * mpmath.log(xm) - xm
-        else:
-            p = mpmath.jacobi(k, a, b, 1 - 2 * xm)
-            logn = (mpmath.log(mpmath.gamma(k + a + 1)) + mpmath.log(mpmath.gamma(k + b + 1))
-                    - mpmath.log(mpmath.gamma(k + 1)) - mpmath.log(2 * k + a + b + 1)
-                    - mpmath.log(mpmath.gamma(k + a + b + 1)))
-            logw = a * mpmath.log(xm) + b * mpmath.log(1 - xm)
-        expect = float(p * mpmath.exp(0.5 * (logw - logn)))
+        with mpmath.workdps(60):
+            k = 100
+            got = op.eval_eta(fam(spec), k, x)
+            a, b = spec.a, spec.b
+            xm = mpmath.mpf(x)
+            if spec.kind == op.GAUSSIAN:
+                p = mpmath.hermite(k, xm)
+                logn = k * mpmath.log(2) + mpmath.log(mpmath.factorial(k)) + 0.5 * mpmath.log(mpmath.pi)
+                logw = -xm * xm
+            elif spec.kind == op.LAGUERRE:
+                p = mpmath.laguerre(k, a, xm)
+                logn = mpmath.log(mpmath.gamma(k + a + 1) / mpmath.gamma(k + 1))
+                logw = a * mpmath.log(xm) - xm
+            else:
+                p = mpmath.jacobi(k, a, b, 1 - 2 * xm)
+                logn = (mpmath.log(mpmath.gamma(k + a + 1)) + mpmath.log(mpmath.gamma(k + b + 1))
+                        - mpmath.log(mpmath.gamma(k + 1)) - mpmath.log(2 * k + a + b + 1)
+                        - mpmath.log(mpmath.gamma(k + a + b + 1)))
+                logw = a * mpmath.log(xm) + b * mpmath.log(1 - xm)
+            expect = float(p * mpmath.exp(0.5 * (logw - logn)))
         assert got == pytest.approx(expect, rel=1e-10, abs=1e-300)
 
     def test_table_matches_scalar(self):
@@ -192,6 +242,19 @@ class TestEta:
                 val = float(np.dot(wts, integrand))
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("f,lo,hi", [
+        (fam(GAUSS), -45.0, 45.0),
+        (fam(LAG1, 3), 0.0, 1700.0),
+        (fam(op.EnsembleSpec(op.JACOBI, a=0.5, b=1.0)), 0.0, 1.0),
+    ], ids=["gauss", "lag", "jac"])
+    def test_array_table_equals_scalar_tables(self, f, lo, hi):
+        # the grids reach far enough into the tails that the recurrence rescales
+        xs = np.linspace(lo, hi, 61)
+        table = op.eta_table(f, 450, xs)
+        stacked = np.stack([op.eta_table(f, 450, float(x)) for x in xs], axis=1)
+        np.testing.assert_array_equal(table, stacked)
+        assert np.isfinite(table).all() and np.count_nonzero(table) > table.size // 4
+
     def test_shift_consistency_exact(self):
         shifted = op.ShiftedFamily(op.EnsembleSpec(op.LAGUERRE, a=0.5), 3)
         base = op.ShiftedFamily(op.EnsembleSpec(op.LAGUERRE, a=3.5), 0)
@@ -207,21 +270,21 @@ def airy_maclaurin(x, terms=60):
     """Series solution of v'' = x v with the standard Ai initial data."""
     import mpmath
 
-    mpmath.mp.dps = 40
-    c0 = mpmath.mpf(3) ** mpmath.mpf("-2/3") / mpmath.gamma(mpmath.mpf(2) / 3)
-    c1 = -(mpmath.mpf(3) ** mpmath.mpf("-1/3")) / mpmath.gamma(mpmath.mpf(1) / 3)
-    # a_{k+2} on the recurrence a_{k+2} = a_{k-1} / ((k+1)(k+2))
-    coeffs = [c0, c1, mpmath.mpf(0)]
-    for k in range(1, terms):
-        coeffs.append(coeffs[k - 1] / ((k + 1) * (k + 2)))
-    val = mpmath.mpf(0)
-    dval = mpmath.mpf(0)
-    xm = mpmath.mpf(x)
-    for k, c in enumerate(coeffs):
-        val += c * xm**k
-        if k >= 1:
-            dval += k * c * xm ** (k - 1)
-    return float(val), float(dval)
+    with mpmath.workdps(40):
+        c0 = mpmath.mpf(3) ** mpmath.mpf("-2/3") / mpmath.gamma(mpmath.mpf(2) / 3)
+        c1 = -(mpmath.mpf(3) ** mpmath.mpf("-1/3")) / mpmath.gamma(mpmath.mpf(1) / 3)
+        # a_{k+2} on the recurrence a_{k+2} = a_{k-1} / ((k+1)(k+2))
+        coeffs = [c0, c1, mpmath.mpf(0)]
+        for k in range(1, terms):
+            coeffs.append(coeffs[k - 1] / ((k + 1) * (k + 2)))
+        val = mpmath.mpf(0)
+        dval = mpmath.mpf(0)
+        xm = mpmath.mpf(x)
+        for k, c in enumerate(coeffs):
+            val += c * xm**k
+            if k >= 1:
+                dval += k * c * xm ** (k - 1)
+        return float(val), float(dval)
 
 
 class TestAiry:
@@ -261,12 +324,12 @@ class TestAiry:
 def bessel_series(nu, x, terms=120):
     import mpmath
 
-    mpmath.mp.dps = 40
-    xm = mpmath.mpf(x) / 2
-    tot = mpmath.mpf(0)
-    for k in range(terms):
-        tot += (-1) ** k * xm ** (2 * k + nu) / (mpmath.factorial(k) * mpmath.gamma(nu + k + 1))
-    return float(tot)
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x) / 2
+        tot = mpmath.mpf(0)
+        for k in range(terms):
+            tot += (-1) ** k * xm ** (2 * k + nu) / (mpmath.factorial(k) * mpmath.gamma(nu + k + 1))
+        return float(tot)
 
 
 class TestBesselJ:

@@ -173,6 +173,15 @@ class TestGueMinorChain:
         for d in range(200):
             assert interlaces(sample_gue_minor_chain(5, seed=7, draw=d))
 
+    @pytest.mark.parametrize("species", [
+        {1: [5.0], 2: [0.0, 1.0]},
+        {2: [0.0, 2.0], 3: [-1.0, 1.0, 1.5]},
+        {1: [1.0], 2: [1.0, 2.0]},
+    ], ids=["outside", "inner-order", "touching"])
+    def test_interlacing_rejects_broken_chain(self, species):
+        chain = InterlacedChain({s: np.array(v) for s, v in species.items()}, "gaussian", 3, 0)
+        assert not interlaces(chain)
+
     def test_trace_moment(self):
         draws = 20000
         batch = sample_gue_minor_batch(2, draws, seed=3)
