@@ -131,7 +131,7 @@ def eval_weight(fam, x: float) -> float:
     if fam.kind == GAUSSIAN:
         return math.exp(-x * x)
     if fam.kind == LAGUERRE:
-        if x < 0.0:
+        if x < 0.0 or x == math.inf:
             return 0.0
         return _power(x, a) * math.exp(-x)
     if x < 0.0 or x > 1.0:
@@ -156,7 +156,7 @@ def log_weight(fam, x: float) -> float:
     if fam.kind == GAUSSIAN:
         return -x * x
     if fam.kind == LAGUERRE:
-        if x < 0.0:
+        if x < 0.0 or x == math.inf:
             return -math.inf
         if x == 0.0:
             return 0.0 if a == 0.0 else -math.copysign(math.inf, a)

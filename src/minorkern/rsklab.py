@@ -21,6 +21,7 @@ import numpy as np
 from .samplers import (
     LUE_UPDATE,
     SecularProblem,
+    draw_streams,
     rng_stream,
     sample_lue_batch,
     secular_roots,
@@ -393,13 +394,21 @@ def sample_wishart_chain_batch(p: int, pis, pihats, draws: int, seed: int,
     pihats = np.asarray(pihats, dtype=float)
     if len(pis) < p or len(pihats) < p:
         raise ValueError("need p intensities on each side")
-    xs = np.empty((draws, p, p), dtype=complex)
-    for d in range(draws):
-        rng = rng_stream(seed, start + d)
+    # per draw and column: p exponential moduli^2, then p uniform phases
+    mods = np.empty((draws, p, p))
+    phases = np.empty((draws, p, p))
+    for gen, mod, phase in zip(draw_streams(seed, start, draws), mods, phases):
         for n in range(p):
-            mods = rng.exponential(1.0 / (pis[:p] + pihats[n]))
-            phases = rng.uniform(0.0, 2.0 * math.pi, p)
-            xs[d, n] = np.sqrt(mods) * np.exp(1j * phases)
+            gen.standard_exponential(out=mod[n])
+            gen.random(out=phase[n])
+    # numpy's exponential(scale) and uniform(0, 2 pi) on the same variates
+    mods *= 1.0 / (pis[:p] + pihats[:p, None])
+    phases *= 2.0 * math.pi
+    phases += 0.0
+    xs = np.zeros((draws, p, p), dtype=complex)
+    xs.imag = phases
+    np.exp(xs, out=xs)
+    xs *= np.sqrt(mods, out=mods)
     A = np.zeros((draws, p, p), dtype=complex)
     out: dict[int, np.ndarray] = {}
     for n in range(p):
@@ -427,8 +436,9 @@ def lpp_eigenvalue_bridge_test(n: int, draws: int, seed: int, *, scale: float = 
     if n > 20:
         raise ValueError("bridge test limited to n <= 20")
     grids = np.empty((draws, n, n))
-    for d in range(draws):
-        grids[d] = rng_stream(seed, d).exponential(scale, (n, n))
+    for gen, grid in zip(draw_streams(seed, 0, draws), grids):
+        gen.standard_exponential(out=grid)
+    grids *= scale  # numpy's exponential(scale) on the same variates
     lpp = last_passage_batch(grids)
     lam = sample_lue_batch(n, n, draws, seed + 1)[n][:, -1]
     stat, crit = ks_two_sample(lpp, lam)

@@ -14,12 +14,10 @@ entries have unit-mean squared modulus (parts sd 1/sqrt(2)).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh as scipy_eigh
 
 from . import orthopoly as op
 from .numerics import NumericError
@@ -41,23 +39,38 @@ GUE_BORDERED = "gue-bordered"
 LUE_UPDATE = "lue-update"
 PROJECTION = "projection"
 
+_BLOCK = 256  # draws per fill of normals: bounds the buffer a batch holds
+_SD = 1.0 / math.sqrt(2.0)  # sd of a unit complex Gaussian's parts, and of the GUE diagonal
+
+
+def draw_streams(seed: int, start: int, draws: int):
+    """Generators for draws start, ..., start + draws - 1 (ranges checked first): one Philox keyed
+    by seed, re-keyed for draw d to the state of Generator(Philox(key=seed, counter=d << 128))."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0 <= start <= start + draws <= 2**128:
+        raise ValueError(f"draw must be in [0, 2**128), got {start if start < 0 else start + draws - 1}")
+    bg = np.random.Philox(key=np.uint64(seed))
+    gen = np.random.Generator(bg)
+    state = bg.state  # zero buffer, buffer_pos 4, no cached uint32
+
+    def rekey(d):
+        state["state"]["counter"] = [0, 0, d & (2**64 - 1), d >> 64]
+        bg.state = state
+        return gen
+
+    return map(rekey, range(start, start + draws))
+
 
 def rng_stream(seed: int, draw: int = 0) -> np.random.Generator:
     """Counter-based generator for one draw; streams never overlap."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0 <= draw < 2**128:
-        raise ValueError(f"draw must be in [0, 2**128), got {draw}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=draw << 128))
+    return next(draw_streams(seed, draw, 1))
 
 
 @dataclass(frozen=True)
 class InterlacedChain:
-    """One draw of the multi-species configuration {x_j^(s)}.
-
-    species maps s to the sorted (increasing) vector of its points; length s
-    for full chains, n(s) <= s for truncated ones.
-    """
+    """One draw of the multi-species configuration {x_j^(s)}: species maps s to
+    the increasing vector of its points, of length s (n(s) <= s if truncated)."""
 
     species: dict[int, np.ndarray]
     ensemble: str
@@ -65,8 +78,12 @@ class InterlacedChain:
     seed: int
     draw: int = 0
 
-    def top(self) -> int:
-        return max(self.species)
+
+def interlaces(chain: InterlacedChain) -> bool:
+    """Strict interlacing between every consecutive pair of species present."""
+    sp = chain.species
+    return all(np.all(sp[s + 1][:-1] < sp[s]) and np.all(sp[s] < sp[s + 1][1:])
+               for s in sp if s + 1 in sp and len(sp[s + 1]) == len(sp[s]) + 1)
 
 
 @dataclass(frozen=True)
@@ -74,10 +91,9 @@ class SecularProblem:
     """Rational secular equation sum_i w_i/(x - p_i) = c(x), fixed by poles,
     weights and its form.
 
-    GUE bordered: c(x) = x - border                      (n+1 roots)
-    LUE update:   c(x) = 1, plus a pole at 0 of weight zero_pole_weight
-                                                          (n+1 roots, poles > 0)
-    projection:   c(x) = 0                               (n-1 interior roots)
+    GUE bordered: c(x) = x - border                                 (n+1 roots)
+    LUE update:   c(x) = 1, pole at 0 of weight zero_pole_weight     (n+1 roots, poles > 0)
+    projection:   c(x) = 0                                          (n-1 interior roots)
 
     poles and weights have shape (n,) for one problem or (draws, n) for a
     stack of them; border and zero_pole_weight are scalars or one per draw.
@@ -90,8 +106,7 @@ class SecularProblem:
     zero_pole_weight: float = 0.0
 
     def __post_init__(self):
-        p = np.asarray(self.poles, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        p, w = np.asarray(self.poles, dtype=float), np.asarray(self.weights, dtype=float)
         if p.shape != w.shape or p.ndim not in (1, 2):
             raise ValueError("poles and weights must have matching shapes (n,) or (draws, n)")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
@@ -118,10 +133,8 @@ def secular_roots(prob: SecularProblem) -> np.ndarray:
     root.  All of them are bisected together until no bracket moves (adjacent
     doubles), or for at most 110 halvings.
     """
-    p = np.asarray(prob.poles, dtype=float)
-    w = np.asarray(prob.weights, dtype=float)
-    one = p.ndim == 1
-    p, w = np.atleast_2d(p), np.atleast_2d(w)
+    one = np.ndim(prob.poles) == 1
+    p, w = np.atleast_2d(np.asarray(prob.poles, dtype=float), np.asarray(prob.weights, dtype=float))
     draws = p.shape[0]
     border = np.broadcast_to(np.asarray(prob.border, dtype=float), (draws,))[:, None]
     if prob.form == LUE_UPDATE:
@@ -180,65 +193,98 @@ def _outer_end(beyond, pole, step):
 
 
 # ---------------------------------------------------------------------------
-# matrix draws
+# sampling: one fill of normals per draw, then matrix work per batch
 # ---------------------------------------------------------------------------
 
 
-def _gue_matrix(rng, N: int) -> np.ndarray:
-    """Hermitian draw with density ~ exp(-tr M^2)."""
-    iu = np.triu_indices(N, 1)
-    m = np.zeros((N, N), dtype=complex)
-    m[iu] = rng.normal(0.0, 0.5, len(iu[0])) + 1j * rng.normal(0.0, 0.5, len(iu[0]))
-    m = m + m.conj().T
-    m[np.diag_indices(N)] = rng.normal(0.0, 1.0 / math.sqrt(2.0), N)
+def _normal_blocks(seed: int, start: int, draws: int, scale: np.ndarray, build, *outs) -> None:
+    """build(z, *(the block's rows of outs)) per block of <= _BLOCK draws; row r of z is 0.0 + scale *
+    (one standard_normal fill of the block's r-th draw's stream), i.e. numpy's normal(0.0, scale)."""
+    streams = draw_streams(seed, start, draws)
+    for lo in range(0, draws, _BLOCK):
+        z = np.empty((min(_BLOCK, draws - lo), len(scale)))
+        for row, gen in zip(z, streams):
+            gen.standard_normal(out=row)
+        z *= scale
+        z += 0.0
+        build(z, *(out[lo:lo + len(z)] for out in outs))
+
+
+def _fill_gue(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m filled with Hermitian draws; parts per row: upper re, upper im (row-major), diagonal."""
+    N = m.shape[-1]
+    i, j = np.triu_indices(N, 1)
+    re, im, diag = np.split(z, [len(i), 2 * len(i)], axis=1)
+    m.real[:, i, j] = m.real[:, j, i] = re
+    m.imag[:, i, j], m.imag[:, j, i] = im, -im
+    m[:, range(N), range(N)] = diag
     return m
 
 
-def _complex_gaussian(rng, shape) -> np.ndarray:
-    """Entries with unit-mean squared modulus (parts sd 1/sqrt(2))."""
-    s = 1.0 / math.sqrt(2.0)
-    return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
+def _complex_parts(z: np.ndarray) -> np.ndarray:
+    """Complex entries from rows holding all real parts, then all imaginary parts."""
+    re, im = np.split(z, 2, axis=-1)
+    return re + 1j * im
+
+
+def _abs2(z: np.ndarray, out: np.ndarray) -> None:
+    """out = |c|^2 for the complex entries c of _complex_parts(z)."""
+    np.square(np.abs(_complex_parts(z), out=out), out=out)
+
+
+def _chain(batch: dict[int, np.ndarray], kind: str, N: int, seed: int, draw: int) -> InterlacedChain:
+    return InterlacedChain({s: v[0] for s, v in batch.items()}, kind, N, seed, draw)
 
 
 def sample_gue_minor_chain(N: int, seed: int, draw: int = 0) -> InterlacedChain:
-    """Eigenvalues of all nested principal minors of one Gaussian draw; row
-    `draw` of sample_gue_minor_batch."""
-    batch = sample_gue_minor_batch(N, 1, seed, start=draw)
-    return InterlacedChain(_first_row(batch), op.GAUSSIAN, N, seed, draw)
+    """Row `draw` of sample_gue_minor_batch: all nested minors of one Gaussian draw."""
+    return _chain(sample_gue_minor_batch(N, 1, seed, start=draw), op.GAUSSIAN, N, seed, draw)
 
 
 def sample_lue_chain(N: int, n_max: int, seed: int, draw: int = 0) -> InterlacedChain:
-    """Rank-one-update Wishart chain; species n holds the n nonzero eigenvalues.
-    Row `draw` of sample_lue_batch."""
-    batch = sample_lue_batch(N, n_max, 1, seed, start=draw)
-    return InterlacedChain(_first_row(batch), op.LAGUERRE, N, seed, draw)
+    """Row `draw` of sample_lue_batch; species n holds the n nonzero eigenvalues."""
+    return _chain(sample_lue_batch(N, n_max, 1, seed, start=draw), op.LAGUERRE, N, seed, draw)
 
 
-def _first_row(batch: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    return {s: v[0] for s, v in batch.items()}
+def sample_projection_chain(ensemble: op.EnsembleSpec, n: int, depth: int,
+                            seed: int, draw: int = 0) -> InterlacedChain:
+    """Row `draw` of sample_projection_batch: a base draw, then `depth` corank-1 projections."""
+    batch = sample_projection_batch(ensemble, n, depth, 1, seed, start=draw)
+    return _chain(batch, ensemble.kind, n, seed, draw)
 
 
 def sample_ensemble_eigs(ensemble: op.EnsembleSpec, n: int, seed: int, draw: int = 0) -> np.ndarray:
-    """One eigenvalue draw of the unitary-invariant ensemble with weight w."""
+    """One increasing eigenvalue draw of the ensemble: sample_projection_batch's base."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = rng_stream(seed, draw)
-    return _ensemble_eigs_rng(ensemble, n, rng)
+    return sample_projection_batch(ensemble, n, 0, 1, seed, start=draw)[n][0]
 
 
-def _ensemble_eigs_rng(ensemble, n, rng) -> np.ndarray:
+def _ensemble_base(ensemble: op.EnsembleSpec, n: int):
+    """Part sds of one base draw, and the map from a block of scaled parts to
+    increasing eigenvalues.  Laguerre: X^H X, X of shape (n+a, n).  Jacobi:
+    L^-1 X^H X L^-H, L L^H = X^H X + Y^H Y, Y of shape (n+b, n)."""
     if ensemble.kind == op.GAUSSIAN:
-        return np.linalg.eigvalsh(_gue_matrix(rng, n))
-    if ensemble.kind == op.LAGUERRE:
-        a = _integer_exponent(ensemble.a, "a")
-        x = _complex_gaussian(rng, (n + a, n))
-        return np.linalg.eigvalsh(x.conj().T @ x)
+        return np.repeat([0.5, _SD], [n * (n - 1), n]), lambda z: np.linalg.eigvalsh(
+            _fill_gue(z, np.empty((len(z), n, n), dtype=complex)))
+
+    def gram(z, rows):
+        x = _complex_parts(z).reshape(len(z), rows, n)
+        return x.conj().transpose(0, 2, 1) @ x
+
     a = _integer_exponent(ensemble.a, "a")
+    kx = 2 * (n + a) * n
+    if ensemble.kind == op.LAGUERRE:
+        return np.full(kx, _SD), lambda z: np.linalg.eigvalsh(gram(z, n + a))
     b = _integer_exponent(ensemble.b, "b")
-    x = _complex_gaussian(rng, (n + a, n))
-    y = _complex_gaussian(rng, (n + b, n))
-    w1 = x.conj().T @ x
-    return scipy_eigh(w1, w1 + y.conj().T @ y, eigvals_only=True)
+
+    def jacobi(z):
+        w1 = gram(z[:, :kx], n + a)
+        chol = np.linalg.cholesky(w1 + gram(z[:, kx:], n + b))
+        c = np.linalg.solve(chol, np.linalg.solve(chol, w1).conj().transpose(0, 2, 1))
+        return np.linalg.eigvalsh(0.5 * (c + c.conj().transpose(0, 2, 1)))
+
+    return np.full(kx + 2 * (n + b) * n, _SD), jacobi
 
 
 def _integer_exponent(v: float, name: str) -> int:
@@ -247,83 +293,52 @@ def _integer_exponent(v: float, name: str) -> int:
     return int(v)
 
 
-def sample_projection_chain(ensemble: op.EnsembleSpec, n: int, depth: int,
-                            seed: int, draw: int = 0) -> InterlacedChain:
-    """Base ensemble draw followed by `depth` corank-1 random projections; row
-    `draw` of sample_projection_batch."""
-    batch = sample_projection_batch(ensemble, n, depth, 1, seed, start=draw)
-    return InterlacedChain(_first_row(batch), ensemble.kind, n, seed, draw)
-
-
-def interlaces(chain: InterlacedChain) -> bool:
-    """Strict interlacing between every consecutive pair of species present."""
-    keys = sorted(chain.species)
-    for lo_s, hi_s in zip(keys[:-1], keys[1:]):
-        if hi_s != lo_s + 1:
-            continue
-        lo_v, hi_v = chain.species[lo_s], chain.species[hi_s]
-        if len(hi_v) != len(lo_v) + 1:
-            continue
-        if not (np.all(hi_v[:-1] < lo_v) and np.all(lo_v < hi_v[1:])):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# batched sampling (vectorized across draws, same per-draw streams)
-# ---------------------------------------------------------------------------
-
-
 def sample_gue_minor_batch(N: int, draws: int, seed: int, start: int = 0) -> dict[int, np.ndarray]:
     """Species -> array (draws, s) of sorted minor eigenvalues."""
     if not 1 <= N <= 400:
         raise ValueError("need 1 <= N <= 400")
     mats = np.empty((draws, N, N), dtype=complex)
-    for d in range(draws):
-        mats[d] = _gue_matrix(rng_stream(seed, start + d), N)
+    _normal_blocks(seed, start, draws, np.repeat([0.5, _SD], [N * (N - 1), N]), _fill_gue, mats)
     return {s: np.linalg.eigvalsh(mats[:, :s, :s]) for s in range(1, N + 1)}
 
 
 def sample_lue_batch(N: int, n_max: int, draws: int, seed: int, start: int = 0) -> dict[int, np.ndarray]:
-    """Rank-one-update Wishart chain over draws; species n -> array (draws, n)."""
+    """Rank-one-update Wishart chain over draws; species n -> array (draws, n).
+    Column n of a draw is N complex Gaussians, all real parts first."""
     if not 1 <= n_max <= N:
         raise ValueError("need 1 <= n_max <= N")
-    xs = np.empty((draws, n_max, N), dtype=complex)
-    for d in range(draws):
-        rng = rng_stream(seed, start + d)
-        for n in range(n_max):
-            xs[d, n] = _complex_gaussian(rng, N)
-    w = np.abs(xs) ** 2
-    eigs = w[:, 0, :].sum(axis=1)[:, None]
-    out = {1: eigs}
+    w = np.empty((draws, n_max, N))
+    _normal_blocks(seed, start, draws, np.full(2 * n_max * N, _SD),
+                   lambda z, out: _abs2(z.reshape(len(z), n_max, 2 * N), out), w)
+    out = {1: w[:, 0, :].sum(axis=1)[:, None]}
     for n in range(1, n_max):
-        prob = SecularProblem(eigs, w[:, n, :n], LUE_UPDATE,
-                              zero_pole_weight=w[:, n, n:].sum(axis=1))
-        eigs = secular_roots(prob)
-        out[n + 1] = eigs
+        out[n + 1] = secular_roots(SecularProblem(out[n], w[:, n, :n], LUE_UPDATE,
+                                                  zero_pole_weight=w[:, n, n:].sum(axis=1)))
     return out
 
 
 def sample_projection_batch(ensemble: op.EnsembleSpec, n: int, depth: int,
                             draws: int, seed: int, start: int = 0) -> dict[int, np.ndarray]:
-    """Corank-1 projection chain over draws; species m -> array (draws, m)."""
+    """Corank-1 projection chain over draws; species m -> array (draws, m).
+    A draw is its base draw, then m = n, n-1, ... complex projection weights."""
     if not 0 <= depth < n:
         raise ValueError("need 0 <= depth < n")
+    base_scale, base_eigs = _ensemble_base(ensemble, n)
     sizes = range(n, n - depth, -1)
-    base = np.empty((draws, n))
-    gauss = [np.empty((draws, m), dtype=complex) for m in sizes]
-    for d in range(draws):
-        rng = rng_stream(seed, start + d)
-        base[d] = np.sort(_ensemble_eigs_rng(ensemble, n, rng))
-        for g, m in zip(gauss, sizes):
-            g[d] = _complex_gaussian(rng, m)
+    base, *weights = [np.empty((draws, m)) for m in (n, *sizes)]
+    cuts = np.cumsum([len(base_scale)] + [2 * m for m in sizes])
+
+    def build(z, base_rows, *weight_rows):
+        base_rows[:] = base_eigs(z[:, :cuts[0]])
+        for w, lo, hi in zip(weight_rows, cuts, cuts[1:]):
+            _abs2(z[:, lo:hi], w)
+
+    scale = np.concatenate([base_scale, np.full(cuts[-1] - cuts[0], _SD)])
+    _normal_blocks(seed, start, draws, scale, build, base, *weights)
     out = {n: base}
-    eigs = base
-    for g, m in zip(gauss, sizes):
-        w = np.abs(g) ** 2
+    for w, m in zip(weights, sizes):
         w /= w.sum(axis=1, keepdims=True)
-        eigs = secular_roots(SecularProblem(eigs, w, PROJECTION))
-        out[m - 1] = eigs
+        out[m - 1] = secular_roots(SecularProblem(out[m], w, PROJECTION))
     return out
 
 
@@ -334,33 +349,18 @@ def sample_projection_batch(ensemble: op.EnsembleSpec, n: int, depth: int,
 
 def chains_to_csv(batch: dict[int, np.ndarray], *, ensemble: str, N: int, seed: int) -> str:
     """One row per (draw, species, index, value), '#'-prefixed metadata header."""
-    buf = io.StringIO()
-    buf.write(f"# ensemble={ensemble}\n# N={N}\n# seed={seed}\n")
-    buf.write("draw,species,index,value\n")
-    draws = len(next(iter(batch.values())))
-    for d in range(draws):
-        for s in sorted(batch):
-            row = batch[s][d]
-            for i, v in enumerate(np.atleast_1d(row)):
-                buf.write(f"{d},{s},{i},{v:.17g}\n")
-    return buf.getvalue()
+    species = sorted(batch)
+    keys = [f"{s},{i}," for s in species for i in range(batch[s].shape[1])]
+    values = np.concatenate([batch[s] for s in species], axis=1)
+    # joined draw by draw, so no list of every row's string is held at once
+    return f"# ensemble={ensemble}\n# N={N}\n# seed={seed}\ndraw,species,index,value\n" + "".join(
+        ["".join([f"{d},{k}{v:.17g}\n" for k, v in zip(keys, row.tolist())]) for d, row in enumerate(values)])
 
 
 def chains_from_csv(text: str) -> tuple[dict[int, np.ndarray], dict[str, str]]:
     """Inverse of chains_to_csv."""
-    meta: dict[str, str] = {}
-    rows: dict[int, dict[int, dict[int, float]]] = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            k, _, v = line[1:].strip().partition("=")
-            meta[k.strip()] = v.strip()
-            continue
-        if not line or line.startswith("draw"):
-            continue
-        d, s, i, v = line.split(",")
-        rows.setdefault(int(s), {}).setdefault(int(d), {})[int(i)] = float(v)
-    batch = {}
-    for s, by_draw in rows.items():
-        draws = sorted(by_draw)
-        batch[s] = np.array([[by_draw[d][i] for i in sorted(by_draw[d])] for d in draws])
-    return batch, meta
+    lines = text.splitlines()
+    meta = {k.strip(): v.strip() for k, _, v in (ln[1:].partition("=") for ln in lines if ln[:1] == "#")}
+    rows = np.fromstring(",".join([ln for ln in lines if ln[:1].isdigit()]), sep=",").reshape(-1, 4)
+    d, s, _, v = rows[np.lexsort(rows[:, [2, 1, 0]].T)].T  # by draw, species, index
+    return {int(k): v[s == k].reshape(len(np.unique(d[s == k])), -1) for k in np.unique(s)}, meta

@@ -224,6 +224,11 @@ class TestDensity:
     def test_single_point(self):
         assert density(ProcessSpec(GAUSS, 1), 1, [0.0])[0] == pytest.approx(0.5641895835, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_laguerre_zero_at_infinity(self, a):
+        proc = ProcessSpec(op.EnsembleSpec(op.LAGUERRE, a=a), 3)
+        assert density(proc, 2, [math.inf]).tolist() == [0.0]
+
     def test_species_n_is_christoffel_darboux(self):
         proc = ProcessSpec(LAG, 3)
         fam = op.ShiftedFamily(LAG, 0)

@@ -36,6 +36,13 @@ class TestWeight:
         assert op.eval_weight(fam(GAUSS), 1000.0) == 0.0
         assert op.eval_weight(fam(LAG1), 1000.0) == 0.0
 
+    @pytest.mark.parametrize("spec", [GAUSS, LAG0, LAG1, JAC], ids=["gauss", "lag0", "lag1", "jac"])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_log_weight_at_infinity(self, spec, x):
+        # outside the support or in the limit of the weight: -inf, never NaN
+        assert op.log_weight(fam(spec), x) == -math.inf
+        assert op.eval_weight(fam(spec), x) == 0.0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             op.EnsembleSpec(op.LAGUERRE, a=-1.0)

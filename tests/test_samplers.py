@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh as scipy_eigh
 
 from minorkern import orthopoly as op
 from minorkern.numerics import NumericError
+from minorkern.rsklab import sample_wishart_chain_batch
 from minorkern.samplers import (
     GUE_BORDERED,
     LUE_UPDATE,
@@ -13,6 +15,7 @@ from minorkern.samplers import (
     SecularProblem,
     chains_from_csv,
     chains_to_csv,
+    draw_streams,
     interlaces,
     rng_stream,
     sample_ensemble_eigs,
@@ -26,6 +29,7 @@ from minorkern.samplers import (
 )
 
 GAUSS = op.EnsembleSpec(op.GAUSSIAN)
+LAG2 = op.EnsembleSpec(op.LAGUERRE, a=2.0)
 JAC = op.EnsembleSpec(op.JACOBI, a=1.0, b=1.0)
 
 
@@ -131,6 +135,24 @@ class TestStreams:
         rng_stream(0, 0)
         rng_stream(2**64 - 1, 2**128 - 1)
 
+    @pytest.mark.parametrize("seed, first", [(7, 0), (7, 2**64), (7, 2**128 - 2), (2**64 - 1, 5)])
+    def test_rekeyed_streams_equal_fresh_generators(self, seed, first):
+        # each draw leaves a partial buffer (an odd count of 32-bit words),
+        # which re-keying for the next draw must discard
+        def variates(g):
+            return g.standard_normal(5), g.integers(0, 2**32, 3, dtype=np.uint32), g.exponential(1.0, 2)
+
+        for d, gen in zip(range(first, first + 2), draw_streams(seed, first, 2)):
+            for a, b in zip(variates(gen), variates(_fresh(seed, d))):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(rng_stream(seed, first).standard_normal(4),
+                                      _fresh(seed, first).standard_normal(4))
+
+    @pytest.mark.parametrize("seed, start, draws", [(0, 2**128 - 1, 2), (0, -1, 1), (2**64, 0, 1)])
+    def test_draw_streams_checks_ranges_when_called(self, seed, start, draws):
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*"):
+            draw_streams(seed, start, draws)
+
 
 def _projection_batch(ensemble):
     return lambda draws, seed, start: sample_projection_batch(ensemble, 4, 2, draws, seed, start)
@@ -151,6 +173,123 @@ def test_chunked_batch_equals_slice(name):
     chunk = sampler(5, 31, 7)
     for s in whole:
         np.testing.assert_array_equal(chunk[s], whole[s][7:12])
+
+
+ALL_BATCH_SAMPLERS = {
+    **BATCH_SAMPLERS,
+    "wishart": lambda draws, seed, start: sample_wishart_chain_batch(
+        3, [0.5, 1.0, 1.5], [0.5, 0.5, 0.5], draws, seed, start),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BATCH_SAMPLERS))
+def test_batch_range_checked_before_any_draw(name, monkeypatch):
+    made = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(k) or philox(*a, **k))
+    with pytest.raises(ValueError, match=r"draw must be in \[0, 2\*\*128\)"):
+        ALL_BATCH_SAMPLERS[name](2, 0, 2**128 - 1)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        ALL_BATCH_SAMPLERS[name](2, -1, 0)
+    assert made == []
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BATCH_SAMPLERS))
+def test_zero_draws_give_empty_species(name):
+    sampler = ALL_BATCH_SAMPLERS[name]
+    empty, one = sampler(0, 3, 0), sampler(1, 3, 0)
+    assert list(empty) == list(one)
+    for s, v in empty.items():
+        assert v.shape == (0, s)
+
+
+# Reference builders that draw one part at a time: a fresh generator per draw
+# and one normal(0, sd) call per part, one matrix per draw.  The batched
+# samplers must reproduce them bit for bit (Jacobi: to roundoff, since its
+# pencil is whitened instead of solved by scipy's generalized eigh).
+
+def _fresh(seed, draw):
+    return np.random.Generator(np.random.Philox(key=seed, counter=draw << 128))
+
+
+def _ref_gue(rng, N):
+    iu = np.triu_indices(N, 1)
+    m = np.zeros((N, N), dtype=complex)
+    m[iu] = rng.normal(0.0, 0.5, len(iu[0])) + 1j * rng.normal(0.0, 0.5, len(iu[0]))
+    m = m + m.conj().T
+    m[np.diag_indices(N)] = rng.normal(0.0, 1.0 / math.sqrt(2.0), N)
+    return m
+
+
+def _ref_complex(rng, shape):
+    sd = 1.0 / math.sqrt(2.0)
+    return rng.normal(0.0, sd, shape) + 1j * rng.normal(0.0, sd, shape)
+
+
+def _ref_base(ensemble, n, rng):
+    if ensemble.kind == op.GAUSSIAN:
+        return np.linalg.eigvalsh(_ref_gue(rng, n))
+    x = _ref_complex(rng, (n + int(ensemble.a), n))
+    if ensemble.kind == op.LAGUERRE:
+        return np.linalg.eigvalsh(x.conj().T @ x)
+    y = _ref_complex(rng, (n + int(ensemble.b), n))
+    w1 = x.conj().T @ x
+    return scipy_eigh(w1, w1 + y.conj().T @ y, eigvals_only=True)
+
+
+def _ref_projection(ensemble, n, depth, draws, seed, start):
+    sizes = range(n, n - depth, -1)
+    base = np.empty((draws, n))
+    gauss = [np.empty((draws, m), dtype=complex) for m in sizes]
+    for d in range(draws):
+        rng = _fresh(seed, start + d)
+        base[d] = np.sort(_ref_base(ensemble, n, rng))
+        for g, m in zip(gauss, sizes):
+            g[d] = _ref_complex(rng, m)
+    out = {n: base}
+    for g, m in zip(gauss, sizes):
+        w = np.abs(g) ** 2
+        w /= w.sum(axis=1, keepdims=True)
+        out[m - 1] = secular_roots(SecularProblem(out[m], w, PROJECTION))
+    return out
+
+
+class TestSameDrawsAsPerDrawReference:
+    DRAWS, SEED, START = 200, 19, 7
+
+    def test_gue_minors(self):
+        mats = np.array([_ref_gue(_fresh(self.SEED, self.START + d), 4) for d in range(self.DRAWS)])
+        batch = sample_gue_minor_batch(4, self.DRAWS, self.SEED, self.START)
+        for s in range(1, 5):
+            np.testing.assert_array_equal(batch[s], np.linalg.eigvalsh(mats[:, :s, :s]))
+
+    def test_lue_chain(self):
+        N, n_max = 4, 3
+        xs = np.array([[_ref_complex(rng, N) for _ in range(n_max)]
+                       for rng in (_fresh(self.SEED, self.START + d) for d in range(self.DRAWS))])
+        w = np.abs(xs) ** 2
+        expect = {1: w[:, 0, :].sum(axis=1)[:, None]}
+        for n in range(1, n_max):
+            expect[n + 1] = secular_roots(SecularProblem(
+                expect[n], w[:, n, :n], LUE_UPDATE, zero_pole_weight=w[:, n, n:].sum(axis=1)))
+        batch = sample_lue_batch(N, n_max, self.DRAWS, self.SEED, self.START)
+        for s in expect:
+            np.testing.assert_array_equal(batch[s], expect[s])
+
+    @pytest.mark.parametrize("ensemble, n, depth", [(GAUSS, 3, 2), (LAG2, 5, 3)], ids=["gauss", "lag2"])
+    def test_projection(self, ensemble, n, depth):
+        expect = _ref_projection(ensemble, n, depth, self.DRAWS, self.SEED, self.START)
+        batch = sample_projection_batch(ensemble, n, depth, self.DRAWS, self.SEED, self.START)
+        assert list(batch) == list(expect)
+        for s in expect:
+            np.testing.assert_array_equal(batch[s], expect[s])
+
+    @pytest.mark.parametrize("ensemble", [JAC, op.EnsembleSpec(op.JACOBI, a=0.0, b=2.0)],
+                             ids=["jac11", "jac02"])
+    def test_jacobi_whitening_matches_generalized_eigh(self, ensemble):
+        expect = _ref_projection(ensemble, 4, 0, self.DRAWS, self.SEED, self.START)[4]
+        base = sample_projection_batch(ensemble, 4, 0, self.DRAWS, self.SEED, self.START)[4]
+        np.testing.assert_allclose(base, expect, rtol=0, atol=1e-14)
 
 
 class TestGueMinorChain:
@@ -287,6 +426,28 @@ class TestEnsembleEigs:
 
 
 class TestCsv:
+    def test_exact_text(self):
+        batch = {1: np.array([[0.1], [-2.5]]),
+                 2: np.array([[1e-300, 1 / 3], [-0.0, 7.0]]),
+                 3: np.array([[2.0**-1074, 1e300, -1.5e-7], [3.0, 4.0, 5.0]])}
+        assert chains_to_csv(batch, ensemble="gaussian", N=3, seed=12) == (
+            "# ensemble=gaussian\n# N=3\n# seed=12\ndraw,species,index,value\n"
+            "0,1,0,0.10000000000000001\n"
+            "0,2,0,1e-300\n0,2,1,0.33333333333333331\n"
+            "0,3,0,4.9406564584124654e-324\n0,3,1,1.0000000000000001e+300\n0,3,2,-1.4999999999999999e-07\n"
+            "1,1,0,-2.5\n"
+            "1,2,0,-0\n1,2,1,7\n"
+            "1,3,0,3\n1,3,1,4\n1,3,2,5\n")
+
+    def test_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        batch = {s: rng.normal(size=(6, s)) * 10.0 ** rng.integers(-300, 300, (6, s)) for s in (1, 2, 3)}
+        batch[2][1, 0] = -0.0
+        back, _ = chains_from_csv(chains_to_csv(batch, ensemble="jacobi", N=3, seed=0))
+        assert list(back) == [1, 2, 3]
+        for s in batch:
+            assert back[s].shape == batch[s].shape and back[s].tobytes() == batch[s].tobytes()
+
     def test_round_trip(self):
         batch = sample_lue_batch(4, 3, 5, seed=13)
         text = chains_to_csv(batch, ensemble="laguerre", N=4, seed=13)
