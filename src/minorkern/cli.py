@@ -9,6 +9,7 @@ stdout carries short human-readable summaries only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import orthopoly as op
 from . import rsklab, samplers, scaling, validate
-from .kernel import ProcessSpec, SpeciesPoint, correlation, density, kernel_K
+from .kernel import ProcessSpec, SpeciesPoint, correlation, density, kernel_K, phi_cap, psi
 from .numerics import NumericError, gauss_legendre
 
 USAGE_ERROR = 2
@@ -52,9 +53,6 @@ class RunConfig:
     positions: tuple[float, ...] = (0.0,)
     points: tuple[float, ...] = ()
     tolerance: float = 0.0
-    n1: int = 2
-    n2: int = 1
-    p: int = 1
     scale: float = 1.0
 
     def to_json(self) -> str:
@@ -166,10 +164,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_scaling(cfg: RunConfig) -> int:
     rep = scaling.convergence_report(cfg.regime, cfg.spec(), cfg.n_list,
                                      cfg.offsets, cfg.positions)
-    base, ext = os.path.splitext(cfg.out) if cfg.out else ("", "")
     _write(cfg.out, scaling.report_to_json(rep) + "\n")
     if cfg.out:
-        with open(base + ".csv", "w") as fh:
+        with open(os.path.splitext(cfg.out)[0] + ".csv", "w") as fh:
             fh.write(scaling.report_to_csv(rep))
     for row in rep["rows"]:
         print(f"N={row['N']}: max|finite-limit| = {row['max_error']:.3e}")
@@ -197,7 +194,7 @@ def cmd_limitcheck(cfg: RunConfig) -> int:
             lines.append(f"{i},{j},{_fmt(fin)},{_fmt(lim)}")
     _write(cfg.out, "\n".join(lines) + "\n")
     print(f"limitcheck {cfg.regime} N={cfg.N}: worst |finite-limit| = {worst:.3e}")
-    return 0
+    return NUMERIC_ERROR if cfg.tolerance and worst > cfg.tolerance else 0
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +213,8 @@ def _bin_averaged_density(proc, s, edges, order=6):
 
 
 def _suite_biorthogonality(cfg: RunConfig) -> list[dict]:
-    from .kernel import phi_cap, psi
-
-    spec = cfg.spec()
     N = cfg.N if cfg.N > 1 else 10
-    proc = ProcessSpec(spec, N)
-    checks = []
+    proc = ProcessSpec(cfg.spec(), N)
     worst = 0.0
     for n in range(1, N + 1):
         fam = proc.family(n)
@@ -232,15 +225,14 @@ def _suite_biorthogonality(cfg: RunConfig) -> list[dict]:
                         / op.eval_weight(fam, float(x)) for x in nodes]
                 integral = float(np.dot(wts, vals))
                 worst = max(worst, abs(integral - (1.0 if j == k else 0.0)))
-    checks.append(_check("biorthogonality max deviation", worst, cfg.tolerance or 1e-8))
-    return checks
+    return [_check("biorthogonality max deviation", worst, cfg.tolerance or 1e-8)]
 
 
 def _suite_oracle(cfg: RunConfig) -> list[dict]:
     spec = cfg.spec()
     N = min(cfg.N, 3) if cfg.N > 1 else 2
     proc = ProcessSpec(spec, N)
-    lo, hi = validate._support_box(spec, N)
+    lo, hi = validate.support_box(spec, N)
     span = hi - lo
     pts = [lo + f * span for f in (0.25, 0.45, 0.65)]
     worst = 0.0
@@ -285,7 +277,7 @@ def _suite_gauge(cfg: RunConfig) -> list[dict]:
     N = cfg.N if cfg.N > 1 else 4
     proc = ProcessSpec(spec, N)
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = validate._support_box(spec, N)
+    lo, hi = validate.support_box(spec, N)
     worst = 0.0
     for _ in range(20):
         r = int(rng.integers(2, 4))
@@ -298,33 +290,24 @@ def _suite_gauge(cfg: RunConfig) -> list[dict]:
         c = rng.uniform(0.5, 2.0, N + 1)
         mat = np.array([[kernel_K(proc, pi, pj).value * c[pi.s] / c[pj.s]
                          for pj in pts] for pi in pts])
-        worst = max(worst, abs(float(np.linalg.det(mat)) - base) / max(abs(base), 1e-12))
+        # relative to Hadamard's bound on the determinant: near-cancelling
+        # determinants have no relative accuracy of their own
+        hadamard = float(np.prod(np.linalg.norm(mat, axis=1)))
+        worst = max(worst, abs(float(np.linalg.det(mat)) - base) / hadamard)
     return [_check("gauge invariance of determinants", worst, cfg.tolerance or 1e-9)]
 
 
 def _suite_rsk(cfg: RunConfig) -> list[dict]:
     lat = rsklab.LatticeConfig(3, 1, 1, rsklab.Geometric(z=0.3, t=0.5, alphas=(0.4,)))
-    tot = 0.0
-    seen = 0
     for d in range(cfg.draws):
-        grid = rsklab.sample_lattice(lat, cfg.seed, d)
-        seq = rsklab.rsk_shape_sequence(grid, 1)
+        seq = rsklab.rsk_shape_sequence(rsklab.sample_lattice(lat, cfg.seed, d), 1)
         if not seq.interlaced():
             return [_check("interlacing violations", 1.0, 0.5)]
-        seen += 1
-    # truncated normalization of the joint weight
-    def parts(rows, cut):
-        def rec(r, hi):
-            if r == 0:
-                yield ()
-                return
-            for first in range(hi + 1):
-                for rest in rec(r - 1, first):
-                    yield (first,) + rest
-        return rec(rows, cut)
-    for mu0 in parts(1, 14):
-        for mu1 in parts(2, 14):
-            tot += rsklab.eval_discrete_joint(lat, rsklab.ShapeSequence((mu0, mu1), 1))
+    # truncated normalization of the joint weight over partitions with parts <= 14
+    def parts(rows):
+        return itertools.combinations_with_replacement(range(14, -1, -1), rows)
+    tot = sum(rsklab.eval_discrete_joint(lat, rsklab.ShapeSequence((mu0, mu1), 1))
+              for mu0 in parts(1) for mu1 in parts(2))
     return [
         _check("interlacing violations", 0.0, 0.5),
         _check("joint weight normalization |sum-1|", abs(tot - 1.0), 1e-6),
@@ -387,101 +370,51 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# every flag once, as argparse keyword arguments; each subcommand takes the
+# common flags, then its own, in the order its --help lists them
+_FLAGS = {
+    "config": dict(help="JSON config file; flags override its values"),
+    "ensemble": dict(choices=op.KINDS),
+    "process": dict(choices=["gue-minor", "lue-chain", "projection"]),
+    "suite": dict(choices=sorted(_SUITES)),
+    "regime": dict(choices=scaling.REGIMES),
+    "grid": dict(help="min:step:max"),
+    "out": {},
+    **{flag: dict(type=float) for flag in ("a", "b", "tolerance", "scale")},
+    **{flag: dict(type=int) for flag in ("seed", "N", "n", "depth", "draws")},
+    **{flag: dict(type=int, nargs="+") for flag in ("species", "n-list")},
+    **{flag: dict(type=float, nargs="+") for flag in ("points", "offsets", "positions")},
+}
+
+_COMMON = ("config", "ensemble", "a", "b", "seed", "out", "tolerance")
+
+# subcommand -> (runner, help, own flags, required config fields)
+_COMMANDS = {
+    "density": (cmd_density, "finite-N one-point functions on a grid",
+                ("N", "species", "grid"), ("N",)),
+    "kernel": (cmd_kernel, "one kernel value", ("N", "species", "points"), ("N",)),
+    "correlation": (cmd_correlation, "r-point correlation", ("N", "species", "points"), ("N",)),
+    "sample": (cmd_sample, "Monte Carlo chains to CSV",
+               ("process", "N", "n", "depth", "draws"), ("N",)),
+    "validate": (cmd_validate, "named validation suite",
+                 ("suite", "N", "n", "draws", "scale", "regime", "n-list", "offsets", "positions"),
+                 ("suite",)),
+    "scaling": (cmd_scaling, "convergence report over an N list",
+                ("regime", "n-list", "offsets", "positions"), ()),
+    "lpp": (cmd_lpp, "last-passage vs eigenvalue bridge", ("n", "draws", "scale"), ()),
+    "limitcheck": (cmd_limitcheck, "finite kernel vs limit kernel at one N",
+                   ("regime", "N", "offsets", "positions"), ("N",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="minorkern", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand")
-    defs = RunConfig()
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--ensemble", choices=op.KINDS)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("density", help="finite-N one-point functions on a grid")
-    add_common(p)
-    p.add_argument("--N", type=int, required=False)
-    p.add_argument("--species", type=int, nargs="+")
-    p.add_argument("--grid", help="min:step:max")
-
-    p = sub.add_parser("kernel", help="one kernel value")
-    add_common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--species", type=int, nargs="+")
-    p.add_argument("--points", type=float, nargs="+")
-
-    p = sub.add_parser("correlation", help="r-point correlation")
-    add_common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--species", type=int, nargs="+")
-    p.add_argument("--points", type=float, nargs="+")
-
-    p = sub.add_parser("sample", help="Monte Carlo chains to CSV")
-    add_common(p)
-    p.add_argument("--process", choices=["gue-minor", "lue-chain", "projection"])
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--draws", type=int)
-
-    p = sub.add_parser("validate", help="named validation suite")
-    add_common(p)
-    p.add_argument("--suite", choices=sorted(_SUITES))
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--regime", choices=[scaling.SOFT_FIXED, scaling.BULK, scaling.HARD_EDGE, scaling.SOFT_DRIFT])
-    p.add_argument("--n-list", type=int, nargs="+", dest="n_list")
-    p.add_argument("--offsets", type=float, nargs="+")
-    p.add_argument("--positions", type=float, nargs="+")
-
-    p = sub.add_parser("scaling", help="convergence report over an N list")
-    add_common(p)
-    p.add_argument("--regime", choices=[scaling.SOFT_FIXED, scaling.BULK, scaling.HARD_EDGE, scaling.SOFT_DRIFT])
-    p.add_argument("--n-list", type=int, nargs="+", dest="n_list")
-    p.add_argument("--offsets", type=float, nargs="+")
-    p.add_argument("--positions", type=float, nargs="+")
-
-    p = sub.add_parser("lpp", help="last-passage vs eigenvalue bridge")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--scale", type=float)
-
-    p = sub.add_parser("limitcheck", help="finite kernel vs limit kernel at one N")
-    add_common(p)
-    p.add_argument("--regime", choices=[scaling.SOFT_FIXED, scaling.BULK, scaling.HARD_EDGE, scaling.SOFT_DRIFT])
-    p.add_argument("--N", type=int)
-    p.add_argument("--offsets", type=float, nargs="+")
-    p.add_argument("--positions", type=float, nargs="+")
+    for name, (_, help_text, own, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in _COMMON + own:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
-
-
-_COMMANDS = {
-    "density": cmd_density,
-    "kernel": cmd_kernel,
-    "correlation": cmd_correlation,
-    "sample": cmd_sample,
-    "validate": cmd_validate,
-    "scaling": cmd_scaling,
-    "lpp": cmd_lpp,
-    "limitcheck": cmd_limitcheck,
-}
-
-_REQUIRED = {
-    "density": ("N",),
-    "kernel": ("N",),
-    "correlation": ("N",),
-    "sample": ("N",) ,
-    "validate": ("suite",),
-    "scaling": (),
-    "lpp": (),
-    "limitcheck": ("N",),
-}
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -497,8 +430,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if len(parts) != 3:
             raise UsageError("--grid must be min:step:max")
         cfg.grid_min, cfg.grid_step, cfg.grid_max = (float(parts[0]), float(parts[1]), float(parts[2]))
-        if cfg.grid_step == 0:
-            cfg.grid_step = 1.0
     for k, v in given.items():
         setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
     if cfg.seed == 0 and "seed" not in given:
@@ -506,7 +437,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if env is not None:
             cfg.seed = int(env)
     explicit = set(given) | set(file_data)
-    for name in _REQUIRED.get(cfg.subcommand, ()):
+    for name in _COMMANDS[cfg.subcommand][3]:
         if name not in explicit:
             raise UsageError(f"missing required --{name}")
     return cfg
@@ -523,11 +454,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[cfg.subcommand](cfg)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OverflowError) as e:
+        return _COMMANDS[cfg.subcommand][0](cfg)
+    except (UsageError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except NumericError as e:

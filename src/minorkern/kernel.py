@@ -65,6 +65,10 @@ class SpeciesPoint:
     s: int
     y: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.y):
+            raise ValueError(f"position must be finite, got {self.y}")
+
 
 @dataclass(frozen=True)
 class KernelValue:

@@ -197,7 +197,8 @@ def _coeffs(fam, kmax: int):
 def _recurrence(coeffs, x, offset):
     """Yield (u_k, offset_k) for k = 0..len(A), where exp(offset_k) u_k is the
     k-th term of t_{k+1} = (A_k x + B_k) t_k - C_k t_{k-1} from t_0 = exp(offset);
-    u_0 = 1, or 0 where exp(offset) is.
+    u_0 = 1, or 0 where exp(offset) is.  There x is taken as 0: every u_k
+    stays 0 for any finite x, and an infinite x would give inf * 0 = NaN.
 
     Whenever max(|u_k|, |u_{k-1}|) leaves [1e-250, 1e250] the pair is divided
     by it and its log moves into the offset, so no term over- or underflows.
@@ -206,8 +207,10 @@ def _recurrence(coeffs, x, offset):
     if np.ndim(x) == 0:
         x, offset, rescale = float(x), float(offset), _rescale_float
         u = 0.0 if offset == -math.inf else 1.0
+        x = x if u else 0.0
     else:
         u, rescale = np.where(offset == -np.inf, 0.0, np.ones_like(x)), _rescale_rows
+        x = np.where(u == 0.0, 0.0, x)
     u_prev = 0.0
     yield u, offset
     # a memoryview iterates as Python floats, without a list of them

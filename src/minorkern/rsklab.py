@@ -165,16 +165,11 @@ def sample_lattice(cfg: LatticeConfig, seed: int, draw: int = 0) -> np.ndarray:
 
 
 def last_passage(grid: np.ndarray, m: int, n: int) -> float:
-    """Maximal up/right path sum from (1,1) to (m,n); dynamic programming."""
+    """Maximal up/right path sum from (1,1) to (m,n): last_passage_batch of the one grid."""
     grid = np.asarray(grid)
     if not (1 <= m <= grid.shape[0] and 1 <= n <= grid.shape[1]):
         raise ValueError("endpoint outside the grid")
-    l = np.full((m + 1, n + 1), -np.inf)
-    l[0, 1] = l[1, 0] = 0.0
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            l[i, j] = grid[i - 1, j - 1] + max(l[i - 1, j], l[i, j - 1])
-    return float(l[m, n])
+    return float(last_passage_batch(grid[None, :m, :n])[0])
 
 
 def last_passage_batch(grids: np.ndarray) -> np.ndarray:

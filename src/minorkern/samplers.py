@@ -35,7 +35,6 @@ __all__ = [
     "chains_from_csv",
 ]
 
-GUE_BORDERED = "gue-bordered"
 LUE_UPDATE = "lue-update"
 PROJECTION = "projection"
 
@@ -88,21 +87,19 @@ def interlaces(chain: InterlacedChain) -> bool:
 
 @dataclass(frozen=True)
 class SecularProblem:
-    """Rational secular equation sum_i w_i/(x - p_i) = c(x), fixed by poles,
+    """Rational secular equation sum_i w_i/(x - p_i) = c, fixed by poles,
     weights and its form.
 
-    GUE bordered: c(x) = x - border                                 (n+1 roots)
-    LUE update:   c(x) = 1, pole at 0 of weight zero_pole_weight     (n+1 roots, poles > 0)
-    projection:   c(x) = 0                                          (n-1 interior roots)
+    LUE update:   c = 1, pole at 0 of weight zero_pole_weight   (n+1 roots, poles > 0)
+    projection:   c = 0                                         (n-1 interior roots)
 
     poles and weights have shape (n,) for one problem or (draws, n) for a
-    stack of them; border and zero_pole_weight are scalars or one per draw.
+    stack of them; zero_pole_weight is a scalar or one per draw.
     """
 
     poles: np.ndarray
     weights: np.ndarray
     form: str
-    border: float = 0.0
     zero_pole_weight: float = 0.0
 
     def __post_init__(self):
@@ -115,7 +112,7 @@ class SecularProblem:
             raise ValueError("poles must be strictly increasing, with a double between neighbours")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
-        if self.form not in (GUE_BORDERED, LUE_UPDATE, PROJECTION):
+        if self.form not in (LUE_UPDATE, PROJECTION):
             raise ValueError(f"unknown secular form {self.form!r}")
         if self.form == LUE_UPDATE:
             if p.shape[-1] and np.any(p[..., 0] <= 0):
@@ -127,28 +124,22 @@ class SecularProblem:
 def secular_roots(prob: SecularProblem) -> np.ndarray:
     """All real roots, increasing along the last axis, for every stacked problem.
 
-    sum_i w_i/(x - p_i) falls from +inf to -inf between consecutive poles and
-    c(x) is nondecreasing, so each gap (and each exterior interval: above the
-    last pole for LUE and bordered, below the first for bordered) holds one
-    root.  All of them are bisected together until no bracket moves (adjacent
+    sum_i w_i/(x - p_i) falls from +inf to -inf between consecutive poles, so
+    each gap (and for LUE the interval above the last pole) holds one root.
+    All of them are bisected together until no bracket moves (adjacent
     doubles), or for at most 110 halvings.
     """
     one = np.ndim(prob.poles) == 1
     p, w = np.atleast_2d(np.asarray(prob.poles, dtype=float), np.asarray(prob.weights, dtype=float))
-    draws = p.shape[0]
-    border = np.broadcast_to(np.asarray(prob.border, dtype=float), (draws,))[:, None]
     if prob.form == LUE_UPDATE:
+        draws = p.shape[0]
         w0 = np.broadcast_to(np.asarray(prob.zero_pole_weight, dtype=float), (draws,))
         p = np.concatenate([np.zeros((draws, 1)), p], axis=1)
         w = np.concatenate([w0[:, None], w], axis=1)
-    if p.shape[1] == 0 and prob.form == GUE_BORDERED:
-        return border[0].copy() if one else border.copy()
 
     def excess(x):
-        # sum_i w_i/(x - p_i) - c(x) for candidates x of shape (draws, k)
+        # sum_i w_i/(x - p_i) - c for candidates x of shape (draws, k)
         s = np.sum(w[:, None, :] / (x[:, :, None] - p[:, None, :]), axis=2)
-        if prob.form == GUE_BORDERED:
-            return s - (x - border)
         return s - 1.0 if prob.form == LUE_UPDATE else s
 
     scale = np.maximum(np.abs(p).max(axis=1, initial=0.0), 1.0)[:, None]
@@ -157,13 +148,10 @@ def secular_roots(prob: SecularProblem) -> np.ndarray:
     # never at a pole, even when the gap is only a few doubles wide
     lo = np.maximum(p[:, :-1] + gap_eps, np.nextafter(p[:, :-1], np.inf))
     hi = np.minimum(p[:, 1:] - gap_eps, np.nextafter(p[:, 1:], -np.inf))
-    if prob.form != PROJECTION:
+    if prob.form == LUE_UPDATE:
         step = np.maximum(np.sqrt(w.sum(axis=1, keepdims=True)), 1.0)
         top = _outer_end(lambda x: excess(x) > 0, p[:, -1:], step)
         lo, hi = np.hstack([lo, p[:, -1:] + eps]), np.hstack([hi, top])
-    if prob.form == GUE_BORDERED:
-        bottom = _outer_end(lambda x: excess(x) < 0, p[:, :1], -step)
-        lo, hi = np.hstack([bottom, lo]), np.hstack([p[:, :1] - eps, hi])
     for _ in range(110):
         mid = 0.5 * (lo + hi)
         up = excess(mid) >= 0

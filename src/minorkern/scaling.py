@@ -26,6 +26,7 @@ __all__ = [
     "BULK",
     "HARD_EDGE",
     "SOFT_DRIFT",
+    "REGIMES",
     "LimitQuery",
     "airy_kernel",
     "extended_airy",
@@ -42,6 +43,7 @@ SOFT_FIXED = "soft"
 BULK = "bulk"
 HARD_EDGE = "hard"
 SOFT_DRIFT = "soft-drift"
+REGIMES = (SOFT_FIXED, BULK, HARD_EDGE, SOFT_DRIFT)
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class LimitQuery:
     positions: tuple[float, ...]
 
     def __post_init__(self):
-        if self.regime not in (SOFT_FIXED, BULK, HARD_EDGE, SOFT_DRIFT):
+        if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if len(self.offsets) != len(self.positions):
             raise ValueError("offsets and positions must pair up")

@@ -28,6 +28,7 @@ __all__ = [
     "ks_two_sample",
     "sidak_z",
     "sup_norm_bound",
+    "support_box",
 ]
 
 SUP_NORM = "sup-norm"
@@ -79,8 +80,9 @@ class DensityEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _support_box(spec: op.EnsembleSpec, N: int) -> tuple[float, float]:
-    """Truncated integration box carrying all but ~1e-15 of the mass, N <= 3."""
+def support_box(spec: op.EnsembleSpec, N: int) -> tuple[float, float]:
+    """(lo, hi) of the truncated integration box of brute_force_marginal: it
+    carries all but ~1e-15 of the mass of every species for N <= 3."""
     if spec.kind == op.GAUSSIAN:
         return (-6.5, 6.5)
     if spec.kind == op.LAGUERRE:
@@ -89,7 +91,7 @@ def _support_box(spec: op.EnsembleSpec, N: int) -> tuple[float, float]:
 
 
 def _base_edges(spec: op.EnsembleSpec, N: int) -> list[float]:
-    lo, hi = _support_box(spec, N)
+    lo, hi = support_box(spec, N)
     if spec.kind == op.JACOBI:
         return [0.0, 0.02, 0.12, 0.5, 0.88, 0.98, 1.0]
     return list(np.linspace(lo, hi, 6))
@@ -205,7 +207,7 @@ def _point_factor(kind, cut, y):
 
 def _joint_integral(spec: op.EnsembleSpec, N: int, pins: dict) -> float:
     """Quadrature of the unnormalized joint density with pinned targets."""
-    box_lo, box_hi = _support_box(spec, N)
+    box_lo, box_hi = support_box(spec, N)
     pinvals = sorted(v for vals in pins.values() for v in vals)
     edges = sorted(set(_base_edges(spec, N)) | set(pinvals))
     n_nodes = {op.GAUSSIAN: 20, op.LAGUERRE: 24, op.JACOBI: 16}[spec.kind]

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minorkern import cli
 from minorkern.cli import RunConfig, main
 
 
@@ -25,6 +29,10 @@ class TestExitCodes:
 
     def test_bad_grid_spec(self, capsys):
         assert run(["density", "--N", "1", "--grid", "0:1"]) == 2
+
+    def test_zero_grid_step(self, capsys):
+        assert run(["density", "--N", "1", "--grid", "0:0:3"]) == 2
+        assert "grid step must be positive" in capsys.readouterr().err
 
     def test_invalid_parameters(self, capsys):
         assert run(["density", "--N", "1", "--ensemble", "laguerre", "--a", "-2",
@@ -154,6 +162,24 @@ class TestSuitesAndReports:
         assert run(["validate", "--suite", "gauge", "--ensemble", "gaussian",
                     "--N", "4", "--seed", "3"]) == 0
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_gauge_suite_near_cancelling_determinants(self, seed, capsys):
+        # these seeds draw determinants far below their entries' scale
+        assert run(["validate", "--suite", "gauge", "--seed", seed]) == 0
+
+    def test_gauge_suite_rejects_non_gauge_change(self, monkeypatch, capsys):
+        # K(s,.;t,.) c(s) c(t) is no gauge change: it scales each determinant
+        # by the product of c(s)^2 over its points
+        kernel_K = cli.kernel_K
+
+        def skewed(proc, p1, p2):
+            v = kernel_K(proc, p1, p2)
+            return dataclasses.replace(v, value=v.value * (1 + p1.s) * (1 + p2.s))
+
+        monkeypatch.setattr(cli, "kernel_K", skewed)
+        assert run(["validate", "--suite", "gauge", "--ensemble", "gaussian",
+                    "--N", "4", "--seed", "3"]) == 1
+
     def test_sampler_vs_kernel_jacobi_per_bin_bound(self, capsys):
         # the Jacobi density peaks near 4.5, where a bin's noise is far above
         # 0.02; the default per-bin bound accepts the correct sampler, the
@@ -186,3 +212,28 @@ class TestSuitesAndReports:
     def test_limitcheck_subcommand(self, tmp_path, capsys):
         assert run(["limitcheck", "--regime", "hard", "--ensemble", "laguerre",
                     "--a", "0", "--N", "60", "--offsets", "0", "--positions", "0.0"]) == 0
+
+    def test_limitcheck_tolerance_sets_exit_code(self, capsys):
+        # the worst |finite - limit| here is about 1.9e-3
+        args = ["limitcheck", "--N", "20", "--regime", "soft", "--offsets", "0",
+                "--positions", "0.0"]
+        assert run(args) == 0
+        assert run(args + ["--tolerance", "1e-6"]) == 1
+        assert run(args + ["--tolerance", "1e-2"]) == 0
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("minorkern ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_parses(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert args.subcommand == argv[0]
+
+
+def test_readme_shows_every_subcommand():
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(cli._COMMANDS)

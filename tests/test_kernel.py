@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,11 @@ class TestCorrelation:
                             for pi in pts])
             assert float(np.linalg.det(mat)) == pytest.approx(base, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, y):
+        with pytest.raises(ValueError, match="finite"):
+            SpeciesPoint(1, y)
+
     def test_nonnegative_at_tiny_values(self):
         proc = ProcessSpec(GAUSS, 2)
         pts = [SpeciesPoint(2, 8.1), SpeciesPoint(2, 8.1000001)]
@@ -228,6 +234,14 @@ class TestDensity:
     def test_laguerre_zero_at_infinity(self, a):
         proc = ProcessSpec(op.EnsembleSpec(op.LAGUERRE, a=a), 3)
         assert density(proc, 2, [math.inf]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("spec", ALL, ids=IDS)
+    def test_zero_at_both_infinities_without_warnings(self, spec):
+        proc = ProcessSpec(spec, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1, 2, 3):
+                assert density(proc, s, [math.inf, -math.inf]).tolist() == [0.0, 0.0]
 
     def test_species_n_is_christoffel_darboux(self):
         proc = ProcessSpec(LAG, 3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ class TestRodriguesConstants:
 
 
 class TestEta:
+    @pytest.mark.parametrize("spec", [GAUSS, LAG0, LAG1, JAC], ids=["gauss", "lag0", "lag1", "jac"])
+    def test_zero_at_infinity_without_warnings(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = op.eta_table(fam(spec, 1), 6, np.array([math.inf, -math.inf]))
+            column = op.eta_table(fam(spec, 1), 6, math.inf)
+        np.testing.assert_array_equal(rows, 0.0)
+        np.testing.assert_array_equal(column, 0.0)
+
     def test_gaussian_k0(self):
         assert op.eval_eta(fam(GAUSS), 0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
 

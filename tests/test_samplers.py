@@ -8,7 +8,6 @@ from minorkern import orthopoly as op
 from minorkern.numerics import NumericError
 from minorkern.rsklab import sample_wishart_chain_batch
 from minorkern.samplers import (
-    GUE_BORDERED,
     LUE_UPDATE,
     PROJECTION,
     InterlacedChain,
@@ -34,10 +33,6 @@ JAC = op.EnsembleSpec(op.JACOBI, a=1.0, b=1.0)
 
 
 class TestSecular:
-    def test_bordered_without_poles(self):
-        prob = SecularProblem(np.zeros(0), np.zeros(0), GUE_BORDERED, border=1.7)
-        assert secular_roots(prob).tolist() == [1.7]
-
     def test_lue_quadratic_closed_form(self):
         prob = SecularProblem(np.array([1.0]), np.array([0.5]), LUE_UPDATE,
                               zero_pole_weight=0.5)
@@ -57,20 +52,6 @@ class TestSecular:
             roots = secular_roots(SecularProblem(poles, w, PROJECTION))
             assert len(roots) == n - 1
             assert np.all(poles[:-1] < roots) and np.all(roots < poles[1:])
-
-    def test_bordered_count_and_interlacing(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            poles = np.sort(rng.normal(0, 1.5, n))
-            while np.any(np.diff(poles) < 1e-9):
-                poles = np.sort(rng.normal(0, 1.5, n))
-            w = rng.uniform(0.05, 1.5, n)
-            prob = SecularProblem(poles, w, GUE_BORDERED, border=float(rng.normal()))
-            roots = secular_roots(prob)
-            assert len(roots) == n + 1
-            assert roots[0] < poles[0] and roots[-1] > poles[-1]
-            assert np.all(roots[1:-1] > poles[:-1]) and np.all(roots[1:-1] < poles[1:])
 
     def test_residual_small(self):
         poles = np.array([0.5, 1.5, 4.0])
@@ -95,13 +76,12 @@ class TestSecular:
         rng = np.random.default_rng(2)
         poles = np.sort(rng.uniform(0.1, 5.0, (6, 4)), axis=1)
         w = rng.uniform(0.1, 1.0, (6, 4))
-        border = rng.normal(size=6)
+        rng.normal(size=6)  # unused: w0 is drawn after it
         w0 = rng.uniform(0.1, 1.0, 6)
-        for form in (GUE_BORDERED, LUE_UPDATE, PROJECTION):
-            stacked = secular_roots(SecularProblem(poles, w, form, border=border,
-                                                   zero_pole_weight=w0))
+        for form in (LUE_UPDATE, PROJECTION):
+            stacked = secular_roots(SecularProblem(poles, w, form, zero_pole_weight=w0))
             for d in range(6):
-                one = secular_roots(SecularProblem(poles[d], w[d], form, border=border[d],
+                one = secular_roots(SecularProblem(poles[d], w[d], form,
                                                    zero_pole_weight=w0[d]))
                 np.testing.assert_array_equal(stacked[d], one)
 
