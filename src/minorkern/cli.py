@@ -388,14 +388,18 @@ _FLAGS = {
 
 _COMMON = ("config", "ensemble", "a", "b", "seed", "out", "tolerance")
 
-# subcommand -> (runner, help, own flags, required config fields)
+# subcommand -> (runner, help, own flags, required config fields); sample's
+# fields depend on --process: process -> (required, rejected, (flag, flag) pairs
+# that must agree when both are given); a projection's size is --n
 _COMMANDS = {
     "density": (cmd_density, "finite-N one-point functions on a grid",
                 ("N", "species", "grid"), ("N",)),
     "kernel": (cmd_kernel, "one kernel value", ("N", "species", "points"), ("N",)),
     "correlation": (cmd_correlation, "r-point correlation", ("N", "species", "points"), ("N",)),
     "sample": (cmd_sample, "Monte Carlo chains to CSV",
-               ("process", "N", "n", "depth", "draws"), ("N",)),
+               ("process", "N", "n", "depth", "draws"),
+               {"gue-minor": (("N",), ("n", "depth"), ()), "lue-chain": (("N",), ("depth",), ()),
+                "projection": ((), (), (("N", "n"),))}),
     "validate": (cmd_validate, "named validation suite",
                  ("suite", "N", "n", "draws", "scale", "regime", "n-list", "offsets", "positions"),
                  ("suite",)),
@@ -425,6 +429,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_dict(file_data)
     cfg.subcommand = args.subcommand
     given = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "subcommand")}
+    # a field counts as set when a flag gives it or the file moves it off its default
+    changed = set(given) | {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(RunConfig(), f.name)}
     if "grid" in given:
         parts = given.pop("grid").split(":")
         if len(parts) != 3:
@@ -437,9 +443,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if env is not None:
             cfg.seed = int(env)
     explicit = set(given) | set(file_data)
-    for name in _COMMANDS[cfg.subcommand][3]:
+    rules = _COMMANDS[cfg.subcommand][3]
+    required, rejected, agree = rules.get(cfg.process, ((), (), ())) if isinstance(rules, dict) else (rules, (), ())
+    for name in required:
         if name not in explicit:
             raise UsageError(f"missing required --{name}")
+    for name in rejected:
+        if name in changed:
+            raise UsageError(f"--{name} does not apply to --process {cfg.process}")
+    for name, other in agree:
+        if name in changed and getattr(cfg, name) != getattr(cfg, other):
+            raise UsageError(f"--{name} {getattr(cfg, name)} differs from --{other} {getattr(cfg, other)}")
     return cfg
 
 

@@ -13,6 +13,7 @@ z^(-C(n2+p,2)-C(n2,2)) prod_s alpha_s^(-(n2+s-1)).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -219,8 +220,9 @@ def rsk_shape_sequence(grid: np.ndarray, p: int) -> ShapeSequence:
     return ShapeSequence(shapes, n2)
 
 
+@functools.lru_cache(maxsize=128)
 def _log_qpoch(t: float, l: int) -> float:
-    """log (t; t)_l."""
+    """log (t; t)_l, memoized: the joint weight asks for the same few per config."""
     return float(np.sum(np.log1p(-t ** np.arange(1, l + 1))))
 
 
@@ -248,10 +250,12 @@ def eval_discrete_joint(cfg: LatticeConfig, seq: ShapeSequence) -> float:
             for j in range(i + 1, len(hvec)):
                 # h strictly decreasing, so t^{h_j} > t^{h_i}
                 lg += hvec[j] * lt + math.log1p(-(t ** (hvec[i] - hvec[j])))
-    return math.exp(lg + _log_discrete_constant(n1, n2, p, z, t, alphas))
+    return math.exp(lg + _log_discrete_constant(n1, n2, p, z, t, tuple(alphas)))
 
 
+@functools.lru_cache(maxsize=16)
 def _log_discrete_constant(n1, n2, p, z, t, alphas) -> float:
+    """The joint weight's normalizing log constant, memoized per config."""
     lz, lt = math.log(z), math.log(t)
     lg = -(_binom2(n2 + p) + _binom2(n2)) * lz
     for s in range(1, p + 1):

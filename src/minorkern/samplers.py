@@ -39,6 +39,8 @@ LUE_UPDATE = "lue-update"
 PROJECTION = "projection"
 
 _BLOCK = 256  # draws per fill of normals: bounds the buffer a batch holds
+_SOLVE_BLOCK = 4096  # (draw, root) pairs per secular solve: bounds its temporaries
+_MAX_SWEEPS = 200  # rational or bisection steps per secular root
 _SD = 1.0 / math.sqrt(2.0)  # sd of a unit complex Gaussian's parts, and of the GUE diagonal
 
 
@@ -106,8 +108,8 @@ class SecularProblem:
         p, w = np.asarray(self.poles, dtype=float), np.asarray(self.weights, dtype=float)
         if p.shape != w.shape or p.ndim not in (1, 2):
             raise ValueError("poles and weights must have matching shapes (n,) or (draws, n)")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
-            raise ValueError("poles and weights must be finite")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w)) and np.all(np.isfinite(self.zero_pole_weight))):
+            raise ValueError("poles, weights and the zero-pole weight must be finite")
         if np.any(np.nextafter(p[..., :-1], np.inf) >= p[..., 1:]):
             raise ValueError("poles must be strictly increasing, with a double between neighbours")
         if np.any(w <= 0):
@@ -124,60 +126,120 @@ class SecularProblem:
 def secular_roots(prob: SecularProblem) -> np.ndarray:
     """All real roots, increasing along the last axis, for every stacked problem.
 
-    sum_i w_i/(x - p_i) falls from +inf to -inf between consecutive poles, so
-    each gap (and for LUE the interval above the last pole) holds one root.
-    All of them are bisected together until no bracket moves (adjacent
-    doubles), or for at most 110 halvings.
+    h(x) = c + sum_i w_i/(p_i - x) rises from -inf to +inf in each gap between
+    poles, and for LUE from the last pole to twice the weights' sum past it.  A
+    bisection picks the gap's pole nearer the root as origin; then safeguarded
+    rational steps (Bunch-Nielsen-Sorensen 1978; Li 1993's middle way, as in
+    LAPACK dlaed4) solve a model that matches the poles on each side of the gap
+    by one pole in value and slope, and bisect when a step is not finite or
+    leaves the bracket.  With m poles and H = sum |w_i/(x - p_i)| + c, a root is
+    done at |h| <= m eps H / 8, at |h| <= 4 m eps H (the rounding error of h)
+    once its step stalls, or when no double lies inside its bracket; a root
+    still open after _MAX_SWEEPS steps raises NumericError.  Blocks of
+    _SOLVE_BLOCK (draw, root) pairs bound the temporaries, and a root's
+    arithmetic reads only its own row, so stacked, chunked and one-by-one
+    solves agree bit for bit.
     """
     one = np.ndim(prob.poles) == 1
     p, w = np.atleast_2d(np.asarray(prob.poles, dtype=float), np.asarray(prob.weights, dtype=float))
-    if prob.form == LUE_UPDATE:
-        draws = p.shape[0]
-        w0 = np.broadcast_to(np.asarray(prob.zero_pole_weight, dtype=float), (draws,))
-        p = np.concatenate([np.zeros((draws, 1)), p], axis=1)
-        w = np.concatenate([w0[:, None], w], axis=1)
-
-    def excess(x):
-        # sum_i w_i/(x - p_i) - c for candidates x of shape (draws, k)
-        s = np.sum(w[:, None, :] / (x[:, :, None] - p[:, None, :]), axis=2)
-        return s - 1.0 if prob.form == LUE_UPDATE else s
-
-    scale = np.maximum(np.abs(p).max(axis=1, initial=0.0), 1.0)[:, None]
-    eps = 1e-14 * scale
-    gap_eps = np.minimum(eps, 0.25 * np.diff(p, axis=1))
-    # never at a pole, even when the gap is only a few doubles wide
-    lo = np.maximum(p[:, :-1] + gap_eps, np.nextafter(p[:, :-1], np.inf))
-    hi = np.minimum(p[:, 1:] - gap_eps, np.nextafter(p[:, 1:], -np.inf))
-    if prob.form == LUE_UPDATE:
-        step = np.maximum(np.sqrt(w.sum(axis=1, keepdims=True)), 1.0)
-        top = _outer_end(lambda x: excess(x) > 0, p[:, -1:], step)
-        lo, hi = np.hstack([lo, p[:, -1:] + eps]), np.hstack([hi, top])
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        up = excess(mid) >= 0
-        new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        # an unchanged bracket is a fixed point, so stopping here returns
-        # the same roots as running every halving
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    roots = 0.5 * (lo + hi)
+    c = float(prob.form == LUE_UPDATE)
+    if c:
+        w0 = np.broadcast_to(np.asarray(prob.zero_pole_weight, dtype=float), (len(p),))
+        p, w = np.hstack([np.zeros((len(p), 1)), p]), np.hstack([w0[:, None], w])
+    roots = np.empty((len(p), max(p.shape[1] - 1 + int(c), 0)))
+    block = max(_SOLVE_BLOCK // max(roots.shape[1], 1), 1)  # draws
+    for lo in range(0, len(p), block):
+        roots[lo:lo + block] = _solve_block(p[lo:lo + block], w[lo:lo + block], c)
     return roots[0] if one else roots
 
 
-def _outer_end(beyond, pole, step):
-    """pole + step * 2**k with the least k where the root is not beyond it."""
-    end = pole + step
-    bad = beyond(end)
-    for _ in range(120):
-        if not np.any(bad):
+def _model(pt, wt, rows, k, o, tau, dk, dk1, c):
+    """h at tau, the scale H of its rounding error, and C, s, S of the model
+    C + s/(dk - x) + S/(dk1 - x) for gaps (k, k + 1) of rows `rows` of the
+    poles pt (one pole per row of pt) and weights wt, with x, dk and dk1 taken
+    from the origin o.  Pole j adds q_j = w_j/(p_j - o - tau)^2 to a slope and
+    q_j times its distance from the gap's pole on its side to C, so the gap's
+    own poles add nothing there to cancel.  Poles are added in order."""
+    rows = rows.astype(np.intp)
+    c1, c2, dpsi, dphi = np.zeros((4, len(tau)))
+    step = dk - dk1  # the gap's pole on each side is dk1 + step * left: dk or dk1 is 0
+    for j in range(len(pt)):
+        left = j <= k
+        delta = pt[j].take(rows) - o
+        d = delta - tau
+        q = wt[j].take(rows) / d / d
+        e = (delta - (dk1 + step * left)) * q  # q_j times the distance from the gap's pole on its side
+        el, ql = e * left, q * left
+        c1 += el
+        c2 += e - el
+        dpsi += ql
+        dphi += q - ql
+    u, v = dk - tau, dk1 - tau
+    s, S = dpsi * u * u, dphi * v * v
+    psi, phi = c1 + s / u, c2 + S / v
+    return c + psi + phi, c + phi - psi, c + c1 + c2, s, S
+
+
+def _solve_block(p, w, c):
+    """Roots of the problems with poles p (draws, m), the zero pole included."""
+    draws, m = p.shape
+    pt, wt = np.ascontiguousarray(p.T), np.ascontiguousarray(w.T)
+    # one item per (draw, root); its bracket is the gap between poles k and r or,
+    # above the last pole, twice the weights' sum, with a weightless pole at
+    # twice that standing in for pole r
+    roots = max(m - 1 + int(c), 0)
+    rows, k = np.divmod(np.arange(draws * roots), max(roots, 1))
+    inside, r = k < m - 1, np.minimum(k + 1, m - 1)
+    pk, pr = p[rows, k], p[rows, r]
+    gap = np.where(inside, pr - pk, 2.0 * w.sum(axis=1)[rows])
+    far = np.where(inside, gap, 2.0 * gap)
+    model = _model(pt, wt, rows, k, pk, 0.5 * gap, 0.0, far, c)
+    shift = np.where(inside & (model[0] <= 0), gap, 0.0)  # the root is nearer pole r
+    o = np.where(shift > 0, pr, pk)
+    # per item: index, row, root, origin, bracket (a, b), iterate, gap poles, all relative to o
+    small = np.stack([np.arange(k.size), rows, k, o, -shift, gap - shift, 0.5 * gap - shift, -shift, far - shift])
+    # strictly between the poles, even where a root lies within a double of one
+    lo, hi = np.nextafter(pk, np.inf), np.where(inside, np.nextafter(pr, -np.inf), np.inf)
+    del rows, k, inside, r, pk, pr, gap, far, shift, o
+    found = np.empty(len(lo))
+    for _ in range(_MAX_SWEEPS):
+        small = _advance(small, model, found, m)
+        del model  # so that no sweep's temporaries live through the next evaluation
+        if not small.shape[1]:
             break
-        step = np.where(bad, step * 2.0, step)
-        end = np.where(bad, pole + step, end)
-        bad = beyond(end)
-    if np.any(bad):
-        raise NumericError("exterior bracket expansion failed")
-    return end
+        model = _model(pt, wt, *small[1:4], *small[6:], c)
+    else:
+        raise NumericError(f"secular solve: {np.sum(small[0] >= 0)} roots still open after {_MAX_SWEEPS} steps")
+    return np.clip(found, lo, hi).reshape(draws, -1)
+
+
+def _advance(small, model, found, m):
+    """One step for every open item of small: narrow its bracket by the sign of
+    h, record it in found if it is done, else move to the model's root, or to
+    the bracket's midpoint when that root is not finite or not inside.  Returns
+    the items to keep: every open one, in a width halved as far as they allow."""
+    h, H, C, s, S = model
+    at, _, _, o, a, b, tau, dk, dk1 = small
+    a, b = np.where(h <= 0, tau, a), np.where(h > 0, tau, b)  # a NaN moves neither
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the model's root in the gap, solved from the origin (dk or dk1 is 0)
+        qb, qc = C * (dk + dk1) + s + S, s * dk1 + S * dk
+        disc = np.sqrt(np.abs(qb * qb - 4.0 * C * qc))
+        new = np.where(qb > 0, 2.0 * qc / (qb + disc), (qb - disc) / (2.0 * C))
+    step, mid = (new > a) & (new < b), 0.5 * (a + b)
+    eps = np.finfo(float).eps
+    done = (np.abs(h) <= np.where(step, eps * m / 8, eps * m * 4) * H) | (mid <= a) | (mid >= b)
+    done &= at >= 0
+    found[at[done].astype(np.intp)] = (o + tau)[done]
+    small[0, done] = -1  # a done item stays put until its slot is dropped
+    small[4], small[5], small[6] = a, b, np.where(small[0] >= 0, np.where(step, new, mid), tau)
+    # drop done items by halving the width, so that widths repeat from block to
+    # block and the allocator can reuse its blocks
+    open_ = small[0] >= 0
+    width = len(open_)
+    while width and width // 2 >= open_.sum():
+        width //= 2
+    return small.take(np.argsort(~open_, kind="stable")[:width], axis=1) if width < len(open_) else small
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minorkern import cli
+from minorkern import cli, samplers
+from minorkern import orthopoly as op
 from minorkern.cli import RunConfig, main
 
 
@@ -108,6 +109,50 @@ class TestSample:
         assert run(["sample", "--process", "gue-minor", "--N", "2", "--draws", "5",
                     "--seed", "77", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+class TestSampleFlags:
+    """Each --process takes the flags it uses; a projection's size is --n."""
+
+    def _csv(self, tmp_path, args):
+        out = tmp_path / "s.csv"
+        code = run(["sample", *args, "--draws", "7", "--seed", "3", "--out", str(out)])
+        return code, out.read_text() if code == 0 else None
+
+    def test_projection_needs_no_N(self, tmp_path, capsys):
+        code, text = self._csv(tmp_path, ["--process", "projection", "--n", "3", "--depth", "1"])
+        assert code == 0
+        direct = samplers.sample_projection_batch(op.EnsembleSpec(op.GAUSSIAN), 3, 1, 7, 3)
+        assert text == samplers.chains_to_csv(direct, ensemble=op.GAUSSIAN, N=3, seed=3)
+
+    def test_projection_N_other_than_n_exits_2(self, tmp_path, capsys):
+        assert self._csv(tmp_path, ["--process", "projection", "--n", "3", "--N", "4"])[0] == 2
+        assert "--N 4 differs from --n 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("process, flag", [("gue-minor", "--n"), ("gue-minor", "--depth"),
+                                               ("lue-chain", "--depth")])
+    def test_flags_the_process_does_not_use_exit_2(self, tmp_path, capsys, process, flag):
+        assert self._csv(tmp_path, ["--process", process, "--N", "3", flag, "2"])[0] == 2
+        assert f"{flag} does not apply to --process {process}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, direct", [
+        (["--process", "projection", "--ensemble", "gaussian", "--N", "3", "--n", "3", "--depth", "2"],
+         lambda: samplers.sample_projection_batch(op.EnsembleSpec(op.GAUSSIAN), 3, 2, 7, 3)),
+        (["--process", "lue-chain", "--N", "4", "--n", "3"],
+         lambda: samplers.sample_lue_batch(4, 3, 7, 3)),
+    ], ids=["projection-N3-n3", "lue-chain-N4-n3"])
+    def test_benchmark_flag_sets_match_direct_batches(self, tmp_path, capsys, args, direct):
+        code, text = self._csv(tmp_path, args)
+        assert code == 0
+        meta = samplers.chains_from_csv(text)[1]
+        assert text == samplers.chains_to_csv(direct(), ensemble=meta["ensemble"], N=int(meta["N"]), seed=3)
+
+    def test_config_file_defaults_are_not_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(RunConfig(subcommand="sample", process="gue-minor", N=3).to_json())
+        assert self._csv(tmp_path, ["--config", str(cfg)])[0] == 0
+        cfg.write_text(RunConfig(subcommand="sample", process="gue-minor", N=3, depth=1).to_json())
+        assert self._csv(tmp_path, ["--config", str(cfg)])[0] == 2
 
 
 class TestConfigRoundTrip:

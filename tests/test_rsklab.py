@@ -24,6 +24,7 @@ from minorkern.rsklab import (
     sample_wishart_chain_inhomogeneous,
     specialized_weight_form,
 )
+from minorkern import rsklab
 from minorkern.rsklab import _rsk_shape
 from minorkern.samplers import sample_lue_batch
 from minorkern.validate import ks_two_sample
@@ -223,6 +224,18 @@ class TestDiscreteJoint:
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-16)
             count += got > 0
         assert count > 20
+
+    def test_memoized_constants_give_bitwise_equal_weights(self, monkeypatch):
+        cfg = LatticeConfig(4, 1, 2, Geometric(z=0.25, t=0.4, alphas=(0.35, 0.2)))
+        cases = [(GEO, ShapeSequence((mu0, mu1), 1)) for mu0 in partitions_upto(1, 12)
+                 for mu1 in partitions_upto(2, 12)]
+        cases += [(cfg, ShapeSequence((mu0, mu1, mu2), 1)) for mu0 in partitions_upto(1, 3)
+                  for mu1 in partitions_upto(2, 3) for mu2 in partitions_upto(3, 3)]
+        cached = [eval_discrete_joint(c, s) for c, s in cases]
+        for name in ("_log_qpoch", "_log_discrete_constant"):
+            monkeypatch.setattr(rsklab, name, getattr(rsklab, name).__wrapped__)
+        fresh = [eval_discrete_joint(c, s) for c, s in cases]
+        assert cached == fresh and sum(w > 0 for w in fresh) > 100
 
     def test_empirical_frequencies(self):
         draws = 30000

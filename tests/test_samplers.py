@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh as scipy_eigh
 
 from minorkern import orthopoly as op
+from minorkern import samplers
 from minorkern.numerics import NumericError
 from minorkern.rsklab import sample_wishart_chain_batch
 from minorkern.samplers import (
@@ -103,6 +105,95 @@ class TestSecular:
         # no double lies strictly between these poles, so no root can interlace
         with pytest.raises(ValueError):
             SecularProblem(np.array([1.0, np.nextafter(1.0, 2.0)]), np.ones(2), PROJECTION)
+
+
+def _h_exact(poles, w, c, x):
+    return c + sum(Fraction(wi) / (Fraction(pi) - Fraction(x)) for pi, wi in zip(poles, w))
+
+
+def _certified(poles, w, c, x, lo, hi):
+    """|h(x)| <= 4 m eps (sum |w_i/(x - p_i)| + c) in exact arithmetic, or h
+    changes sign between x and a neighbouring double (a pole counts with the
+    sign h takes next to it: -inf above lo, +inf below hi)."""
+    hx = _h_exact(poles, w, c, x)
+    size = c + sum(abs(Fraction(wi) / (Fraction(pi) - Fraction(x))) for pi, wi in zip(poles, w))
+    if abs(hx) <= 4 * len(poles) * Fraction(np.finfo(float).eps) * size:
+        return True
+    for nb in (np.nextafter(x, -np.inf), np.nextafter(x, np.inf)):
+        sign = -1 if nb <= lo else 1 if nb >= hi else np.sign(float(_h_exact(poles, w, c, nb)))
+        if sign * hx <= 0:
+            return True
+    return False
+
+
+def _doubles_up(x, k):
+    for _ in range(k):
+        x = np.nextafter(x, np.inf)
+    return x
+
+
+def _hard_case(name):
+    rng = np.random.default_rng(5)
+    draws = 24
+    if name == "poles-doubles-apart":  # one, then two doubles between neighbouring poles
+        base = rng.uniform(0.5, 3.0, draws)
+        poles = np.stack([base, _doubles_up(base, 2), base + 1.0, _doubles_up(base + 1.0, 3), base + 2.0], axis=1)
+        return poles, rng.uniform(0.1, 1.0, poles.shape), rng.uniform(0.1, 1.0, draws)
+    if name == "weights-1e-12-to-1e3":
+        poles = np.sort(rng.uniform(0.1, 10.0, (draws, 6)), axis=1)
+        return poles, 10.0 ** rng.uniform(-12, 3, (draws, 6)), 10.0 ** rng.uniform(-12, 3, draws)
+    if name == "tiny-zero-pole-weight":
+        poles = np.sort(rng.uniform(0.1, 10.0, (draws, 6)), axis=1)
+        return poles, rng.uniform(0.1, 1.0, (draws, 6)), 10.0 ** rng.uniform(-300, -12, draws)
+    poles = np.sort(10.0 ** rng.uniform(-6, 6, (draws, 7)), axis=1)  # poles-1e-6-to-1e6
+    return poles, rng.uniform(0.1, 1.0, (draws, 7)), rng.uniform(0.1, 1.0, draws)
+
+
+class TestSecularHardCases:
+    @pytest.mark.parametrize("name, form", [
+        ("poles-doubles-apart", LUE_UPDATE), ("poles-doubles-apart", PROJECTION),
+        ("weights-1e-12-to-1e3", LUE_UPDATE), ("weights-1e-12-to-1e3", PROJECTION),
+        ("tiny-zero-pole-weight", LUE_UPDATE),
+        ("poles-1e-6-to-1e6", LUE_UPDATE), ("poles-1e-6-to-1e6", PROJECTION)])
+    def test_interlaced_certified_and_bitwise_stable(self, name, form):
+        poles, w, w0 = _hard_case(name)
+        if form == PROJECTION:
+            w = w / w.sum(axis=1, keepdims=True)
+        roots = secular_roots(SecularProblem(poles, w, form, zero_pole_weight=w0))
+        one = np.array([secular_roots(SecularProblem(poles[d], w[d], form, zero_pole_weight=w0[d]))
+                        for d in range(len(poles))])
+        thirds = np.concatenate([secular_roots(SecularProblem(poles[c], w[c], form, zero_pole_weight=w0[c]))
+                                 for c in np.array_split(np.arange(len(poles)), 3)])
+        np.testing.assert_array_equal(roots, one)
+        np.testing.assert_array_equal(roots, thirds)
+        for d in range(len(poles)):
+            p, wd, c = list(poles[d]), list(w[d]), 0.0
+            if form == LUE_UPDATE:
+                p, wd, c = [0.0] + p, [w0[d]] + wd, 1.0
+            ends = p + [np.inf] * (form == LUE_UPDATE)
+            assert len(roots[d]) == len(ends) - 1
+            for j, x in enumerate(roots[d]):
+                assert ends[j] < x < ends[j + 1]
+                assert _certified(p, wd, c, x, ends[j], ends[j + 1]), (d, j, x)
+
+    def test_solve_blocks_do_not_change_roots(self, monkeypatch):
+        poles, w, w0 = _hard_case("poles-1e-6-to-1e6")
+        whole = secular_roots(SecularProblem(poles, w, LUE_UPDATE, zero_pole_weight=w0))
+        monkeypatch.setattr(samplers, "_SOLVE_BLOCK", 5)
+        np.testing.assert_array_equal(
+            secular_roots(SecularProblem(poles, w, LUE_UPDATE, zero_pole_weight=w0)), whole)
+
+    def test_open_root_after_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_MAX_SWEEPS", 1)
+        poles, w, w0 = _hard_case("weights-1e-12-to-1e3")
+        with pytest.raises(NumericError, match="still open"):
+            secular_roots(SecularProblem(poles, w, LUE_UPDATE, zero_pole_weight=w0))
+
+
+def test_nonfinite_zero_pole_weight_rejected():
+    for w0 in (np.nan, np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="zero-pole weight must be finite"):
+            SecularProblem(np.array([[1.0, 2.0], [1.0, 2.0]]), np.ones((2, 2)), LUE_UPDATE, zero_pole_weight=w0)
 
 
 class TestStreams:
