@@ -398,7 +398,8 @@ _COMMANDS = {
     "correlation": (cmd_correlation, "r-point correlation", ("N", "species", "points"), ("N",)),
     "sample": (cmd_sample, "Monte Carlo chains to CSV",
                ("process", "N", "n", "depth", "draws"),
-               {"gue-minor": (("N",), ("n", "depth"), ()), "lue-chain": (("N",), ("depth",), ()),
+               {"gue-minor": (("N",), ("n", "depth", "ensemble", "a", "b"), ()),
+                "lue-chain": (("N",), ("depth", "ensemble", "a", "b"), ()),
                 "projection": ((), (), (("N", "n"),))}),
     "validate": (cmd_validate, "named validation suite",
                  ("suite", "N", "n", "draws", "scale", "regime", "n-list", "offsets", "positions"),

@@ -12,20 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 
 from . import orthopoly as op
-from .numerics import (
-    NEG_INF,
-    NumericError,
-    slog_from_float,
-    slog_mul,
-    slog_sum,
-    slog_to_float,
-)
+from .numerics import NEG_INF, NumericError, slog_to_float
 
 __all__ = [
     "ProcessSpec",
@@ -78,17 +70,6 @@ class KernelValue:
     gauge_tag: tuple[int, float]
 
 
-@lru_cache(maxsize=4096)
-def _log_norm(spec: op.EnsembleSpec, shift: int, j: int) -> float:
-    return op.log_norm_constant(op.ShiftedFamily(spec, shift), j)
-
-
-def _log_gamma_coef(spec: op.EnsembleSpec, shift: int, j: int) -> tuple[float, float]:
-    """(sign, log) of gamma_j = e_j * sqrt(N_j) for the shifted family."""
-    lg = op.log_abs_e(spec.kind, j) + 0.5 * _log_norm(spec, shift, j)
-    return op.sign_e(spec.kind, j), lg
-
-
 def _log_gamma_vec(spec: op.EnsembleSpec, shift: int, degs: np.ndarray) -> np.ndarray:
     """log |gamma_j| over an integer array of degrees."""
     return op.log_abs_e(spec.kind, degs) + 0.5 * op.log_norm_constant(op.ShiftedFamily(spec, shift), degs)
@@ -112,32 +93,29 @@ def _phi_conv_slog(n1, n2, x, y):
 
 def psi(proc: ProcessSpec, n: int, j: int, x: float) -> float:
     """Psi_j^n(x): weighted function of species n, index j (j may be negative)."""
-    s, lg = _psi_slog(proc, n, j, x)
-    return slog_to_float(s, lg)
+    if j >= 0:
+        signs, logs = _psi_table(proc, n, j, x)
+        return slog_to_float(float(signs[j]), float(logs[j]))
+    return slog_to_float(*_psi_tail_slog(proc, n, j, x))
 
 
-def _psi_slog(proc, n, j, x):
+def _psi_table(proc, n, jmax, x):
+    """(signs, logs) of Psi_j^n(x) for j = 0..jmax, from one eta table."""
+    fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
+    eta = op.eta_table(fam, jmax, x)
+    j = np.arange(jmax + 1)
+    with np.errstate(divide="ignore"):
+        logs = (op.log_abs_e(kind, j) - op.log_abs_e(kind, sig + j)
+                + 0.5 * (op.log_weight(fam, x) + op.log_norm_constant(fam, j)) + np.log(np.abs(eta)))
+    # e_j / e_{sig+j} has the sign of e_sig
+    return (-1.0) ** sig * op.sign_e(kind, sig) * np.sign(eta), np.where(eta == 0.0, NEG_INF, logs)
+
+
+def _psi_tail_slog(proc, n, j, x):
+    """Psi_j^n(x) for j < 0 as (sign, log)."""
     if not 1 <= n <= proc.N:
         raise ValueError(f"species {n} outside [1, {proc.N}]")
-    kind = proc.ensemble.kind
-    sig = proc.N - n
-    if j >= 0:
-        fam = proc.family(n)
-        eta = op.eval_eta(fam, j, x)
-        lw = op.log_weight(fam, x)
-        if eta == 0.0 and lw == -math.inf:
-            return (0.0, NEG_INF)
-        sign = (-1.0) ** sig * op.sign_e(kind, j) * op.sign_e(kind, sig + j)
-        sign *= math.copysign(1.0, eta) if eta != 0.0 else 0.0
-        if eta == 0.0:
-            return (0.0, NEG_INF)
-        lg = (
-            op.log_abs_e(kind, j)
-            - op.log_abs_e(kind, sig + j)
-            + 0.5 * (lw + _log_norm(proc.ensemble, sig, j))
-            + math.log(abs(eta))
-        )
-        return (sign, lg)
+    kind, sig = proc.ensemble.kind, proc.N - n
     # negative index: integral of (y-x)^(-j-1) against the shift-(N-n+j) weight
     q = sig + j
     if q < 0:
@@ -189,25 +167,19 @@ def _log_tail_integral(fam: op.ShiftedFamily, m: int, x: float) -> float:
             lf = logf(np.asarray(u, dtype=float))
         return np.exp(np.where(np.isnan(lf), -np.inf, lf) - mx)
 
+    def quad(g, a, b):
+        return integrate.quad(g, a, b, epsabs=1e-300, epsrel=1e-11, limit=300)
+
     if math.isinf(hi):
-        val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=300)
+        val, err = quad(f, 0.0, np.inf)
     elif fam.kind == op.JACOBI and (a_eff < 0.0 or b_eff < 0.0):
         # integrable endpoint singularities: split and substitute u = v^2
         mid = 0.5 * (hi - lo)
-        v1, e1 = integrate.quad(
-            lambda v: 2.0 * v * f(v * v), 0.0, math.sqrt(mid), epsabs=1e-300, epsrel=1e-11, limit=300
-        )
-        v2, e2 = integrate.quad(
-            lambda v: 2.0 * v * f(hi - lo - v * v),
-            0.0,
-            math.sqrt(hi - lo - mid),
-            epsabs=1e-300,
-            epsrel=1e-11,
-            limit=300,
-        )
+        v1, e1 = quad(lambda v: 2.0 * v * f(v * v), 0.0, math.sqrt(mid))
+        v2, e2 = quad(lambda v: 2.0 * v * f(hi - lo - v * v), 0.0, math.sqrt(hi - lo - mid))
         val, err = v1 + v2, e1 + e2
     else:
-        val, err = integrate.quad(f, 0.0, hi - lo, epsabs=1e-300, epsrel=1e-11, limit=300)
+        val, err = quad(f, 0.0, hi - lo)
     if val <= 0.0:
         return NEG_INF
     if err > 1e-8 * val:
@@ -219,35 +191,54 @@ def _log_tail_integral(fam: op.ShiftedFamily, m: int, x: float) -> float:
 
 def phi_cap(proc: ProcessSpec, n: int, j: int, x: float) -> float:
     """Phi_j^n(x): polynomial dual to Psi_k^n under integration over the support."""
-    s, lg = _phi_cap_slog(proc, n, j, x)
-    return slog_to_float(s, lg)
-
-
-def _phi_cap_slog(proc, n, j, x):
-    if not 1 <= n <= proc.N:
-        raise ValueError(f"species {n} outside [1, {proc.N}]")
     if not 0 <= j <= n - 1:
         raise ValueError(f"index {j} outside [0, {n - 1}]")
-    kind = proc.ensemble.kind
-    sig = proc.N - n
-    fam = proc.family(n)
-    sign_pref = (-1.0) ** sig * op.sign_e(kind, sig + j) * op.sign_e(kind, j)
-    lg_pref = (
-        op.log_abs_e(kind, sig + j)
-        - op.log_abs_e(kind, j)
-        - _log_norm(proc.ensemble, sig, j)
-    )
-    lw = op.log_weight(fam, x)
-    if math.isfinite(lw):
-        eta = op.eval_eta(fam, j, x)
-        if eta != 0.0:
-            lg_p = math.log(abs(eta)) + 0.5 * (_log_norm(proc.ensemble, sig, j) - lw)
-            return (sign_pref * math.copysign(1.0, eta), lg_pref + lg_p)
-    # outside the support, or eta underflowed: signed-log recurrence
-    ps, plg = op.log_poly(fam, j, x)
-    if ps == 0.0:
+    signs, logs = _phi_cap_table(proc, n, j, x)
+    return slog_to_float(float(signs[j]), float(logs[j]))
+
+
+def _phi_cap_table(proc, n, jmax, x):
+    """(signs, logs) of Phi_j^n(x) for j = 0..jmax, from one log_poly table;
+    finite outside the support too."""
+    fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
+    sign, lg = op.log_poly_table(fam, jmax, x)
+    j = np.arange(jmax + 1)
+    logs = op.log_abs_e(kind, sig + j) - op.log_abs_e(kind, j) - 0.5 * op.log_norm_constant(fam, j) + lg
+    return (-1.0) ** sig * op.sign_e(kind, sig) * sign, logs
+
+
+def _slog_sum(signs, logs):
+    """Signed logsumexp of arrays of terms, where a zero term has sign 0 and
+    log -inf; exact cancellation gives (0, -inf)."""
+    m = float(np.max(logs))
+    if m == NEG_INF:
         return (0.0, NEG_INF)
-    return (sign_pref * ps, lg_pref + plg)
+    tot = float(np.sum(signs * np.exp(logs - m)))
+    if tot == 0.0:
+        return (0.0, NEG_INF)
+    return (math.copysign(1.0, tot), m + math.log(abs(tot)))
+
+
+def _bilinear(proc, p1, p2, k_lo, k_hi):
+    """(signs, logs) of gamma_{s1-k}/gamma_{s2-k} eta_{s1-k}(y1) eta_{s2-k}(y2)
+    for k = k_lo..k_hi, with gamma_j = e_j sqrt(N_j), from one eta table per
+    point.  The terms are products of eta floats, so a cancelling sum keeps
+    its accuracy relative to the terms' size."""
+    s1, s2, spec = p1.s, p2.s, proc.ensemble
+    k = np.arange(k_lo, k_hi + 1)
+    prod = (op.eta_table(proc.family(s1), s1 - k_lo, p1.y)[s1 - k]
+            * op.eta_table(proc.family(s2), s2 - k_lo, p2.y)[s2 - k])
+    lg = _log_gamma_vec(spec, proc.N - s1, s1 - k) - _log_gamma_vec(spec, proc.N - s2, s2 - k)
+    with np.errstate(divide="ignore"):
+        logs = np.where(prod != 0.0, lg + np.log(np.abs(prod)), NEG_INF)
+    # gamma_j has the sign of e_j, (-1)^j for the Gaussian family
+    sign = (-1.0) ** ((s1 + s2) % 2) if spec.kind == op.GAUSSIAN else 1.0
+    return sign * np.sign(prod), logs
+
+
+def _gauge(proc, p1, p2):
+    """log sqrt(w_{s1}(y1) / w_{s2}(y2)): K = (-1)^(s1-s2) exp(gauge) F."""
+    return 0.5 * (op.log_weight(proc.family(p1.s), p1.y) - op.log_weight(proc.family(p2.s), p2.y))
 
 
 # species separations at least this large go through the bilinear series,
@@ -260,11 +251,11 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
     """K(s1,y1;s2,y2) as (sign, log)."""
     s1, y1 = p1.s, p1.y
     s2, y2 = p2.s, p2.y
-    fam1, fam2 = proc.family(s1), proc.family(s2)
     if s1 >= s2:
-        f = _f_entry_slog(proc, p1, p2)
-        gauge = 0.5 * (op.log_weight(fam1, y1) - op.log_weight(fam2, y2))
-        return slog_mul(((-1.0) ** (s1 - s2), gauge), f)
+        sign, lg = _slog_sum(*_bilinear(proc, p1, p2, 1, s2))
+        if sign == 0.0:
+            return (0.0, NEG_INF)
+        return ((-1.0) ** (s1 - s2) * sign, _gauge(proc, p1, p2) + lg)
     if s2 - s1 >= SERIES_SPLIT:
         val = _series_slog(proc, p1, p2)
         if val is not None:
@@ -272,77 +263,45 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
     if s2 == s1 + 1 and y2 == y1:
         # jump midpoint of the indicator kernel: the value the bilinear
         # expansion converges to; determinants do not see the difference
-        phi_term = (-0.5, 0.0)
+        phi_sign, phi_log = 0.5, 0.0
     else:
-        phi_term = slog_mul((-1.0, 0.0), _phi_conv_slog(s1, s2, y1, y2))
-    terms = [phi_term]
-    for l in range(1, s2 + 1):
-        t = slog_mul(_psi_slog(proc, s1, s1 - l, y1), _phi_cap_slog(proc, s2, s2 - l, y2))
-        terms.append(t)
-    return slog_sum(terms)
+        phi_sign, phi_log = _phi_conv_slog(s1, s2, y1, y2)
+    # -phi + sum over l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2); the Psi
+    # with l > s1 are tail integrals, the rest come from one table per point
+    psi_s, psi_l = (v[::-1] for v in _psi_table(proc, s1, s1 - 1, y1))
+    tail_s, tail_l = zip(*(_psi_tail_slog(proc, s1, s1 - l, y1) for l in range(s1 + 1, s2 + 1)))
+    phi_s, phi_l = (v[::-1] for v in _phi_cap_table(proc, s2, s2 - 1, y2))
+    signs = np.concatenate([[-phi_sign], psi_s, tail_s]) * np.concatenate([[1.0], phi_s])
+    logs = np.concatenate([[phi_log], psi_l, tail_l]) + np.concatenate([[0.0], phi_l])
+    return _slog_sum(signs, logs)
 
 
 def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, max_terms: int = 6000):
     """Bilinear series for s1 < s2; only used when its tail certifies as
     geometric (returns None otherwise)."""
-    s, x = p1.s, p1.y
-    t, y = p2.s, p2.y
-    spec = proc.ensemble
-    kmax = max_terms
-    eta_x = op.eta_table(proc.family(s), s + kmax, x)
-    eta_y = op.eta_table(proc.family(t), t + kmax, y)
-    sign0 = (-1.0) ** ((t - s - 1) % 2)
-    gauge = 0.5 * (op.log_weight(proc.family(s), x) - op.log_weight(proc.family(t), y))
-    i = np.arange(kmax + 1)
-    lg1 = _log_gamma_vec(spec, proc.N - s, s + i)
-    lg2 = _log_gamma_vec(spec, proc.N - t, t + i)
-    sgn = np.full(kmax + 1, (-1.0) ** ((s + t) % 2) if spec.kind == op.GAUSSIAN else 1.0)
-    prod = eta_x[s:] * eta_y[t: t + kmax + 1]
-    with np.errstate(divide="ignore"):
-        logs = np.where(prod != 0.0, lg1 - lg2 + np.log(np.abs(np.where(prod == 0, 1.0, prod))), NEG_INF)
-    signs = sgn * np.sign(prod)
-    m = float(np.max(logs))
-    if m == NEG_INF:
+    signs, logs = _bilinear(proc, p1, p2, -max_terms, 0)
+    sign, result_log = _slog_sum(signs, logs)
+    if sign == 0.0:
         return (0.0, NEG_INF)
-    tot = float(np.sum(signs * np.exp(logs - m)))
-    if tot == 0.0:
-        return (0.0, NEG_INF)
-    # accept only when the trailing envelope sits far below the result, so a
-    # flat-tail bound already certifies the truncation; otherwise fall back
+    # accept only when the trailing envelope (the highest degrees, first in
+    # k order) sits far below the result, so a flat-tail bound already
+    # certifies the truncation; otherwise fall back
     block = 48
-    env_last = float(np.max(logs[-block:]))
-    env_prev = float(np.max(logs[-2 * block: -block]))
-    result_log = m + math.log(abs(tot))
+    env_last = float(np.max(logs[:block]))
+    env_prev = float(np.max(logs[block: 2 * block]))
     if env_last > env_prev or env_last > result_log - 30.0:
         return None
-    return (sign0 * math.copysign(1.0, tot), gauge + result_log)
-
-
-def _f_entry_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
-    """Symmetrically gauged kernel entry (finite sum form, requires s1 >= s2)."""
-    s1, y1 = p1.s, p1.y
-    s2, y2 = p2.s, p2.y
-    eta1 = op.eta_table(proc.family(s1), s1 - 1, np.asarray(y1))
-    eta2 = op.eta_table(proc.family(s2), s2 - 1, np.asarray(y2))
-    spec = proc.ensemble
-    terms = []
-    for k in range(1, s2 + 1):
-        sg1, lg1 = _log_gamma_coef(spec, proc.N - s1, s1 - k)
-        sg2, lg2 = _log_gamma_coef(spec, proc.N - s2, s2 - k)
-        prod = float(eta1[s1 - k]) * float(eta2[s2 - k])
-        sp, lp = slog_from_float(prod)
-        terms.append((sg1 * sg2 * sp, lg1 - lg2 + lp))
-    return slog_sum(terms)
+    return ((-1.0) ** ((p2.s - p1.s - 1) % 2) * sign, _gauge(proc, p1, p2) + result_log)
 
 
 def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
     """Kernel in the symmetric sqrt-weight gauge; same determinants as kernel_K."""
     if p1.s >= p2.s:
-        return slog_to_float(*_f_entry_slog(proc, p1, p2))
-    k = _kernel_slog(proc, p1, p2)
-    fam1, fam2 = proc.family(p1.s), proc.family(p2.s)
-    gauge = 0.5 * (op.log_weight(fam2, p2.y) - op.log_weight(fam1, p1.y))
-    return slog_to_float(*slog_mul(((-1.0) ** (p2.s - p1.s), gauge), k))
+        return slog_to_float(*_slog_sum(*_bilinear(proc, p1, p2, 1, p2.s)))
+    sign, lg = _kernel_slog(proc, p1, p2)
+    if sign == 0.0:
+        return 0.0
+    return slog_to_float((-1.0) ** (p2.s - p1.s) * sign, lg - _gauge(proc, p1, p2))
 
 
 def kernel_K(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> KernelValue:
@@ -363,7 +322,13 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
         for j, pj in enumerate(points):
             mat[i, j] = kernel_F(proc, pi, pj)
     det = float(np.linalg.det(mat))
-    scale = float(np.prod(np.maximum(np.linalg.norm(mat, axis=1), 1e-300)))
+    if not np.isfinite(mat).all():
+        return det
+    # the zero test compares |det| with Hadamard's bound, which depends on
+    # the gauge; a diagonal similarity that balances the rows against the
+    # columns (Parlett-Reinsch, as LAPACK dgebal) brings that bound near |det|
+    bal = linalg.matrix_balance(mat, permute=False)[0]
+    scale = float(np.prod(np.maximum(np.linalg.norm(bal, axis=1), 1e-300)))
     if abs(det) < 1e-14 * scale:
         return 0.0
     return det

@@ -41,6 +41,7 @@ __all__ = [
     "rodrigues_constants",
     "eval_eta",
     "eta_table",
+    "log_poly_table",
     "airy",
     "bessel_j",
 ]
@@ -238,8 +239,8 @@ def _rescale_rows(u, u_prev, offset):
     return u, u_prev, offset
 
 
-def _last(rows):
-    return collections.deque(rows, maxlen=1).pop()
+# a recurrence row at scalar x as one record
+_ROW = [("u", float), ("offset", float)]
 
 
 def _exp_or_zero(offset, val):
@@ -252,21 +253,20 @@ def _exp_or_zero(offset, val):
 
 def eval_poly(fam, j: int, x):
     """p_j(x) by three-term recurrence: H_j, L_j^(a) or P_j^(a,b)(1-2x)."""
-    u, offset = _last(_recurrence(_coeffs(_as_family(fam), j), np.asarray(x, dtype=float), 0.0))
+    rows = _recurrence(_coeffs(_as_family(fam), j), np.asarray(x, dtype=float), 0.0)
+    u, offset = collections.deque(rows, maxlen=1).pop()
     val = u * np.exp(offset)
     return val if np.ndim(val) else float(val)
 
 
 def log_poly(fam, j: int, x: float) -> tuple[float, float]:
-    """(sign, log|p_j(x)|); immune to overflow.
-
-    Used where polynomial values exceed double range (high degree far out in
-    the weight's tail).  Inside the oscillatory region prefer eta-based paths.
-    """
-    u, offset = _last(_recurrence(_coeffs(_as_family(fam), j), float(x), 0.0))
-    if u == 0.0:
+    """(sign, log|p_j(x)|); immune to overflow: entry j of log_poly_table with
+    the norm put back."""
+    fam = _as_family(fam)
+    sign, lg = log_poly_table(fam, j, x)
+    if sign[j] == 0.0:
         return (0.0, -math.inf)
-    return (math.copysign(1.0, u), offset + math.log(abs(u)))
+    return (float(sign[j]), float(lg[j]) + 0.5 * log_norm_constant(fam, j))
 
 
 def log_norm_constant(fam, j):
@@ -332,27 +332,43 @@ def sign_e(kind: str, j: int) -> float:
     return -1.0 if (kind == GAUSSIAN and j % 2) else 1.0
 
 
-def eta_table(fam, kmax: int, x) -> np.ndarray:
-    """All eta_k(x) = sqrt(w(x)/N_k) p_k(x) for k = 0..kmax.
-
-    Runs the recurrence on p_k / sqrt(N_k), so no norm constant is ever
-    formed in linear scale, and carries a log offset, so entries deep in the
-    weight's tail come out right while those below double range emerge as 0.
-    Returns an array of shape (kmax+1,) + shape(x).
-    """
-    fam = _as_family(fam)
+def _normalized_rows(fam, kmax: int, x, offset):
+    """_recurrence rows for k = 0..kmax, run on p_k / sqrt(N_k) from
+    exp(offset) / sqrt(N_0), so no norm constant is ever formed in linear scale."""
     A, B, C = _coeffs(fam, kmax)
     logn = log_norm_constant(fam, np.arange(kmax + 1))
     # p_k / sqrt(N_k) takes A_k, B_k times sqrt(N_k/N_{k+1}), C_k times sqrt(N_{k-1}/N_{k+1})
     r1 = np.exp(0.5 * (logn[:-1] - logn[1:]))
     C[1:] *= np.exp(0.5 * (logn[:-2] - logn[2:]))
+    return _recurrence((A * r1, B * r1, C), x, offset - 0.5 * logn[0])
+
+
+def log_poly_table(fam, kmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log(|p_k(x)| / sqrt(N_k))) for k = 0..kmax.
+
+    No weight enters, so every entry is finite at any finite x, inside the
+    support or outside it; sign 0 (log -inf) marks an exact zero.
+    """
+    t = np.fromiter(_normalized_rows(_as_family(fam), kmax, float(x), 0.0), dtype=_ROW, count=kmax + 1)
+    with np.errstate(divide="ignore"):
+        return np.sign(t["u"]), t["offset"] + np.log(np.abs(t["u"]))
+
+
+def eta_table(fam, kmax: int, x) -> np.ndarray:
+    """All eta_k(x) = sqrt(w(x)/N_k) p_k(x) for k = 0..kmax.
+
+    The normalized recurrence starts from the offset log sqrt(w(x)), so
+    entries deep in the weight's tail come out right while those below
+    double range emerge as 0.  Returns an array of shape (kmax+1,) + shape(x).
+    """
+    fam = _as_family(fam)
     x = np.asarray(x, dtype=float)
     logw = np.array([log_weight(fam, xi) for xi in x.ravel()]).reshape(x.shape)
-    rows = _recurrence((A * r1, B * r1, C), x, 0.5 * (logw - logn[0]))
+    rows = _normalized_rows(fam, kmax, x, 0.5 * logw)
     # a scalar's column is converted in one numpy call; an array's rows are
     # converted as they come, so no second table of offsets is held
     if x.ndim == 0:
-        t = np.fromiter(rows, dtype=[("u", float), ("offset", float)], count=kmax + 1)
+        t = np.fromiter(rows, dtype=_ROW, count=kmax + 1)
         return _exp_or_zero(t["offset"], t["u"])
     out = np.empty((kmax + 1,) + x.shape)
     for k, (u, off) in enumerate(rows):

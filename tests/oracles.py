@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from minorkern import orthopoly as op
-from minorkern.kernel import ProcessSpec, SpeciesPoint, _log_gamma_coef
+from minorkern.kernel import ProcessSpec, SpeciesPoint
 
 
 def kappa_tail(spec, shift, u):
@@ -120,6 +120,12 @@ def _bilinear_sum(proc, s, t, x, y, ks):
         sg2, lg2 = _log_gamma_coef(spec, proc.N - t, t - k)
         tot += sg1 * sg2 * math.exp(lg1 - lg2) * float(eta_x[s - k]) * float(eta_y[t - k])
     return tot
+
+
+def _log_gamma_coef(spec, shift, j):
+    """(sign, log) of gamma_j = e_j * sqrt(N_j) for the shifted family."""
+    lg = op.log_abs_e(spec.kind, j) + 0.5 * op.log_norm_constant(op.ShiftedFamily(spec, shift), j)
+    return op.sign_e(spec.kind, j), lg
 
 
 def _chain_G(proc, s, t, x, y):

@@ -135,6 +135,14 @@ class TestSampleFlags:
         assert self._csv(tmp_path, ["--process", process, "--N", "3", flag, "2"])[0] == 2
         assert f"{flag} does not apply to --process {process}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("process", ["gue-minor", "lue-chain"])
+    @pytest.mark.parametrize("flag, value", [("--ensemble", "laguerre"), ("--ensemble", "jacobi"),
+                                             ("--a", "3"), ("--b", "1")])
+    def test_fixed_ensemble_processes_reject_ensemble_flags(self, tmp_path, capsys, process, flag, value):
+        # gue-minor is always Gaussian and lue-chain always Laguerre a=0
+        assert self._csv(tmp_path, ["--process", process, "--N", "3", flag, value])[0] == 2
+        assert f"{flag} does not apply to --process {process}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, direct", [
         (["--process", "projection", "--ensemble", "gaussian", "--N", "3", "--n", "3", "--depth", "2"],
          lambda: samplers.sample_projection_batch(op.EnsembleSpec(op.GAUSSIAN), 3, 2, 7, 3)),

@@ -225,6 +225,58 @@ class TestCorrelation:
         pts = [SpeciesPoint(2, 8.1), SpeciesPoint(2, 8.1000001)]
         assert correlation(proc, pts) >= 0.0
 
+    @pytest.mark.parametrize("spec,N,pts", [
+        (GAUSS, 50, [(10, 0.1), (20, -0.5), (30, 1.2), (40, 0.3)]),
+        (GAUSS, 50, [(49, 0.3), (25, 0.33)]),
+        (JAC, 50, [(27, 0.508), (30, 0.952), (26, 0.498), (33, 0.943)]),
+    ], ids=["gauss-4pt", "gauss-2pt", "jac-4pt"])
+    def test_zero_test_does_not_depend_on_the_gauge(self, spec, N, pts):
+        # the rows of these F matrices differ in size by many orders, so the
+        # product of their norms sits far above |det|
+        proc = ProcessSpec(spec, N)
+        pts = [SpeciesPoint(s, y) for s, y in pts]
+        mat = np.array([[kernel_F(proc, a, b) for b in pts] for a in pts])
+        got = correlation(proc, pts)
+        assert got != 0.0
+        assert got == float(np.linalg.det(mat))
+
+    def test_two_points_in_species_one_vanish(self):
+        # species 1 holds one particle
+        proc = ProcessSpec(GAUSS, 5)
+        assert correlation(proc, [SpeciesPoint(1, 0.1), SpeciesPoint(1, 0.3)]) == 0.0
+
+    def test_point_where_the_weight_vanishes(self):
+        # species 2 of N=5 has weight y^4 e^-y: no particle sits at 0, and the
+        # F entry from there to species 4 divides by w = 0 and is infinite
+        proc = ProcessSpec(LAG, 5)
+        assert correlation(proc, [SpeciesPoint(2, 0.0), SpeciesPoint(4, 1.0)]) == 0.0
+
+
+class TestZeroWeightPoints:
+    """Entries at points where a weight vanishes are built in the K gauge."""
+
+    @pytest.mark.parametrize("spec,p1,p2,expect", [
+        (LAG, (1, 1.0), (3, -0.5), -1.4404779368369283),
+        (JAC, (2, 0.5), (4, 1.0), 0.12520243971082598),
+    ], ids=["lag-outside-support", "jac-endpoint"])
+    def test_kernel_K_value(self, spec, p1, p2, expect):
+        v = kernel_K(ProcessSpec(spec, 5), SpeciesPoint(*p1), SpeciesPoint(*p2)).value
+        assert v == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [JAC, op.EnsembleSpec(op.LAGUERRE, a=0.0)], ids=["jac", "lag0"])
+    def test_finite_at_zero(self, spec):
+        N = 5
+        proc = ProcessSpec(spec, N)
+        for s1 in range(1, N + 1):
+            for s2 in range(1, N + 1):
+                for y1, y2 in [(0.0, 0.3), (0.3, 0.0), (0.0, 0.0)]:
+                    v = kernel_K(proc, SpeciesPoint(s1, y1), SpeciesPoint(s2, y2)).value
+                    assert math.isfinite(v)
+                    # a row at 0 vanishes wherever species s1's weight does,
+                    # apart from the jump midpoint of the indicator kernel
+                    if y1 == 0.0 and s1 < N and not (s2 == s1 + 1 and y2 == 0.0):
+                        assert abs(v) < 1e-13
+
 
 class TestDensity:
     def test_single_point(self):

@@ -172,6 +172,29 @@ class TestLogPoly:
     def test_degree_zero(self):
         assert op.log_poly(fam(JAC), 0, 5.0) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("spec,xs", [
+        (GAUSS, [-40.0, 1e4]), (LAG1, [-3.0, -0.5, 1e4]), (JAC, [-3.0, -1e-3, 1.0 + 1e-3, 2.5]),
+    ], ids=["gauss", "lag", "jac"])
+    def test_table_finite_outside_support(self, spec, xs):
+        for shift in (0, 4):
+            for x in xs:
+                sign, lg = op.log_poly_table(fam(spec, shift), 120, x)
+                assert np.all(np.abs(sign) == 1.0)
+                assert np.isfinite(lg).all()
+
+    @pytest.mark.parametrize("spec,xs", [
+        (GAUSS, [-2.5, 0.3, 4.0]), (LAG1, [0.2, 3.0, 40.0]), (JAC, [0.01, 0.4, 0.97]),
+    ], ids=["gauss", "lag", "jac"])
+    def test_table_is_eta_without_the_weight_inside_support(self, spec, xs):
+        for shift in (0, 4):
+            for x in xs:
+                eta = op.eta_table(fam(spec, shift), 60, x)
+                sign, lg = op.log_poly_table(fam(spec, shift), 60, x)
+                half_logw = 0.5 * op.log_weight(fam(spec, shift), x)
+                np.testing.assert_array_equal(sign, np.sign(eta))
+                nz = eta != 0.0
+                np.testing.assert_allclose(lg[nz], np.log(np.abs(eta[nz])) - half_logw, rtol=0, atol=1e-12)
+
 
 class TestRodriguesConstants:
     def test_gaussian(self):
