@@ -294,8 +294,18 @@ def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, max_term
     return ((-1.0) ** ((p2.s - p1.s - 1) % 2) * sign, _gauge(proc, p1, p2) + result_log)
 
 
+def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:
+    """Reject a point where its species' weight is infinite: its kernel
+    entries and correlations are not finite numbers.  Only the top species
+    (shift 0) can have an exponent below 0, and then only at an endpoint."""
+    for p in points:
+        if p.s == proc.N and op.log_weight(proc.ensemble, p.y) == math.inf:
+            raise ValueError(f"the weight of species {p.s} is infinite at position {p.y}")
+
+
 def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
     """Kernel in the symmetric sqrt-weight gauge; same determinants as kernel_K."""
+    _check_weights(proc, p1, p2)
     if p1.s >= p2.s:
         return slog_to_float(*_slog_sum(*_bilinear(proc, p1, p2, 1, p2.s)))
     sign, lg = _kernel_slog(proc, p1, p2)
@@ -306,6 +316,7 @@ def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
 
 def kernel_K(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> KernelValue:
     """Two-point correlation kernel K(s1,y1;s2,y2)."""
+    _check_weights(proc, p1, p2)
     s, lg = _kernel_slog(proc, p1, p2)
     return KernelValue(slog_to_float(s, lg), gauge_tag=(p1.s, p1.y))
 

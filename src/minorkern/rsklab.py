@@ -92,30 +92,40 @@ class LatticeConfig:
     def __post_init__(self):
         if self.n1 < self.n2 + self.p:
             raise ValueError("need n1 >= n2 + p")
-        if isinstance(self.model, Geometric):
-            m = self.model
+        m = self.model
+        if isinstance(m, Geometric):
             if not 0 < m.t < 1 or not 0 < m.z:
                 raise ValueError("need t in (0,1) and z > 0")
-            for i in range(1, self.n1 + 1):
-                for j in range(1, self.n2 + 1):
-                    if not 0 < m.z**2 * m.t ** (i + j - 2) < 1:
-                        raise ValueError("site parameter z^2 t^(i+j-2) outside (0,1)")
-                for s, al in enumerate(m.alphas, start=1):
-                    if not 0 < al * m.z * m.t ** (i - 1) < 1:
-                        raise ValueError("site parameter alpha_s z t^(i-1) outside (0,1)")
             if len(m.alphas) != self.p:
                 raise ValueError("need one alpha per extra column")
-        if isinstance(self.model, ExponentialInhomogeneous):
-            m = self.model
-            if len(m.pis) < self.n1 or len(m.pihats) < self.n2 + self.p:
-                raise ValueError("rate vectors shorter than the grid")
-            for pi in m.pis[: self.n1]:
-                for ph in m.pihats[: self.n2 + self.p]:
-                    if pi + ph <= 0:
-                        raise ValueError("need pi_i + pihat_j > 0 at every site")
+            if not ((self._sites > 0) & (self._sites < 1)).all():
+                raise ValueError("site parameters z^2 t^(i+j-2) and alpha_s z t^(i-1) must lie in (0,1)")
+        elif not (self._sites > 0).all():
+            raise ValueError("need a positive rate at every site")
 
     def cols(self) -> int:
         return self.n2 + self.p
+
+    @functools.cached_property
+    def _sites(self) -> np.ndarray:
+        """The (n1, n2 + p) grid of site parameters q_ij (Geometric) or of
+        exponential rates, row i from the bottom, column j."""
+        m, n2 = self.model, self.n2
+        i = np.arange(self.n1)[:, None]  # i - 1
+        j = np.arange(n2)[None, :]  # j - 1, first n2 columns
+        if isinstance(m, Geometric):
+            return np.hstack([m.z**2 * m.t ** (i + j), np.asarray(m.alphas) * m.z * m.t**i])
+        if isinstance(m, ExponentialHomogeneous):
+            return np.full((self.n1, self.cols()), m.rate)
+        if isinstance(m, ExponentialJacobi):
+            if len(m.a_s) < self.p:
+                raise ValueError("need one a_s per extra column")
+            return np.hstack([i + j + 2 * m.a, i + m.a + np.asarray(m.a_s[: self.p])])
+        if isinstance(m, ExponentialInhomogeneous):
+            if len(m.pis) < self.n1 or len(m.pihats) < self.cols():
+                raise ValueError("rate vectors shorter than the grid")
+            return np.add.outer(np.asarray(m.pis[: self.n1]), np.asarray(m.pihats[: self.cols()]))
+        raise TypeError(f"unknown weight model {type(m).__name__}")
 
 
 @dataclass(frozen=True)
@@ -142,27 +152,9 @@ class ShapeSequence:
 def sample_lattice(cfg: LatticeConfig, seed: int, draw: int = 0) -> np.ndarray:
     """One grid of independent site values, row i from the bottom, column j."""
     rng = rng_stream(seed, draw)
-    n1, cols = cfg.n1, cfg.cols()
-    out = np.empty((n1, cols))
-    m = cfg.model
-    if isinstance(m, Geometric):
-        for i in range(1, n1 + 1):
-            for j in range(1, cols + 1):
-                q = m.z**2 * m.t ** (i + j - 2) if j <= cfg.n2 else m.alphas[j - cfg.n2 - 1] * m.z * m.t ** (i - 1)
-                out[i - 1, j - 1] = rng.geometric(1.0 - q) - 1
-        return out
-    if isinstance(m, ExponentialHomogeneous):
-        return rng.exponential(1.0 / m.rate, (n1, cols))
-    if isinstance(m, ExponentialJacobi):
-        for i in range(1, n1 + 1):
-            for j in range(1, cols + 1):
-                rate = (i + j - 2 + 2 * m.a) if j <= cfg.n2 else (i - 1 + m.a + m.a_s[j - cfg.n2 - 1])
-                out[i - 1, j - 1] = rng.exponential(1.0 / rate)
-        return out
-    if isinstance(m, ExponentialInhomogeneous):
-        rates = np.add.outer(np.asarray(m.pis[:n1]), np.asarray(m.pihats[:cols]))
-        return rng.exponential(1.0 / rates)
-    raise TypeError(f"unknown weight model {type(m).__name__}")
+    if isinstance(cfg.model, Geometric):
+        return (rng.geometric(1.0 - cfg._sites) - 1).astype(float)
+    return rng.exponential(1.0 / cfg._sites)
 
 
 def last_passage(grid: np.ndarray, m: int, n: int) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import integrate, special
 
 from . import orthopoly as op
-from .kernel import ProcessSpec, SpeciesPoint, _kernel_slog
-from .numerics import gl_nodes, slog_to_float
+from .kernel import ProcessSpec, SpeciesPoint, kernel_F
+from .numerics import NumericError, gl_nodes
 
 __all__ = [
     "SOFT_FIXED",
@@ -74,20 +74,32 @@ class LimitQuery:
 
 
 def airy_kernel(x: float, y: float) -> float:
-    """Airy kernel; ratio form away from the diagonal, integral form near it."""
+    """Airy kernel; ratio form away from the diagonal, and near it its Taylor
+    expansion about the midpoint m to O(h^4) in h = y - x."""
     if abs(x) > 20 or abs(y) > 20:
         raise ValueError("arguments limited to [-20, 20]")
     if abs(x - y) >= 1e-4:
         ax, axp = op.airy(x)
         ay, ayp = op.airy(y)
         return (ax * ayp - ay * axp) / (x - y)
-    return _airy_integral(0.0, x, y)
+    m, h = 0.5 * (x + y), y - x
+    ai, aip = op.airy(m)
+    taylor2 = ai * aip / 3.0 - 2.0 / 3.0 * (m * m * ai * ai - m * aip * aip)
+    return aip * aip - m * ai * ai + 0.25 * h * h * taylor2
 
 
-def _airy_integral(tau: float, x: float, y: float) -> float:
-    """int_0^inf e^(-tau u) Ai(x+u) Ai(y+u) du, tau >= 0."""
-    f = lambda u: math.exp(-tau * u) * special.airy(x + u)[0] * special.airy(y + u)[0]
-    val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
+def _airy_integral(tau: float, x: float, y: float, d: float = 1.0) -> float:
+    """int_0^inf e^(-tau u) Ai(x + d u) Ai(y + d u) du for d = +-1.  Raises
+    NumericError when quad's error estimate exceeds the requested accuracy."""
+    # e^(-tau u) is capped at e^700 to keep inf * 0 out of quad's
+    # infinite-range map.  The cap binds only for tau < 0 past u = 700/|tau|
+    # >= 70, which extended_airy integrates only while the whole-line
+    # integral is at most 100, so the integrand has long decayed there
+    f = lambda u: math.exp(min(-tau * u, 700.0)) * special.airy(x + d * u)[0] * special.airy(y + d * u)[0]
+    epsabs, epsrel = 1e-13, 1e-11
+    val, err = integrate.quad(f, 0.0, np.inf, epsabs=epsabs, epsrel=epsrel, limit=1000, full_output=1)[:2]
+    if not err <= max(epsabs, epsrel * abs(val)):
+        raise NumericError(f"Airy integral at tau={tau}, x={x}, y={y}: error estimate {err:.1e}")
     return val
 
 
@@ -98,32 +110,42 @@ def extended_airy(tau_x: float, x: float, tau_y: float, y: float) -> float:
     tau = tau_y - tau_x
     if tau >= 0:
         return _airy_integral(tau, x, y)
-    # decaying-left branch: truncate where the envelope is negligible
-    T = 10.0
-    env = lambda t: math.exp(tau * t) * (1.0 + t) ** (-0.5)
-    while env(T) > 1e-16 and T < 2000.0:
-        T *= 1.5
-    f = lambda u: math.exp(-tau * u) * special.airy(x + u)[0] * special.airy(y + u)[0]
-    val, err = integrate.quad(f, -T, 0.0, epsabs=1e-13, epsrel=1e-10, limit=3000)
-    return -val
+    # -int_{-inf}^0 e^(t u) Ai(x+u) Ai(y+u) du with t = -tau.  Over the whole
+    # line the integral is Gaussian (Prahofer-Spohn 2002), so the half line is
+    # that minus [0, inf), which decays super-exponentially.  Where that
+    # difference or the integral over [0, inf) cancels (a Gaussian above 100,
+    # x or y far below 0), e^(t u) decays fast enough to integrate (-inf, 0]
+    t = -tau
+    line = math.exp(t**3 / 12.0 - t * (x + y) / 2.0 - (x - y) ** 2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    try:
+        if line <= 100.0:
+            return _airy_integral(tau, x, y) - line
+    except NumericError:
+        pass
+    return -_airy_integral(t, x, y, -1.0)
 
 
 def _exp_integral_imag(n: int, w: float) -> complex:
-    """E_n(i w) = int_1^inf exp(-i w t) / t^n dt for real w, n >= 1."""
-    if w == 0.0:
-        if n <= 1:
-            raise ValueError("E_n(0) diverges for n <= 1")
-        return complex(1.0 / (n - 1))
-    aw = abs(w)
-    si, ci = special.sici(aw)
-    e1 = complex(-ci, -(math.pi / 2.0 - si))
-    if w < 0:
-        e1 = e1.conjugate()
-    e = e1
+    """E_n(i w) = int_1^inf exp(-i w t) / t^n dt for real w != 0, n >= 1:
+    upward recurrence from E_1 for |w| < 1, where it is stable, and the
+    continued fraction of DLMF 8.19.17 (modified Lentz) otherwise."""
     z = complex(0.0, w)
-    for k in range(1, n):
-        e = (cmath.exp(-z) - z * e) / k
-    return e
+    if abs(w) < 1.0:
+        e = complex(special.exp1(z))
+        for k in range(1, n):
+            e = (cmath.exp(-z) - z * e) / k
+        return e
+    b, c = z + n, 1e300
+    d = h = 1.0 / b
+    for i in range(1, 1000):
+        an = -i * (n - 1 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= c * d
+        if abs(c * d - 1.0) <= 4e-16:
+            return h * cmath.exp(-z)
+    raise NumericError(f"continued fraction for E_{n}(i {w}) did not converge")
 
 
 def bead_kernel(cx: int, x: float, cy: int, y: float) -> float:
@@ -138,15 +160,10 @@ def bead_kernel(cx: int, x: float, cy: int, y: float) -> float:
             return ((-1j) ** m * c).real
         nodes, wts = gl_nodes(0.0, 1.0, 48)
         return float(np.dot(wts, nodes**m * np.cos(beta * nodes + phi)))
-    n = -m
     if u == 0.0:
         # cos(pi m / 2) vanishes for odd m; otherwise the plain power integral
-        return math.cos(phi) / (m + 1) if n >= 2 else 0.0
-    if n <= 6:
-        val = _exp_integral_imag(n, -beta)
-        return -((-1j) ** m * val).real
-    return -_osc_tail_integral(lambda s: s ** float(m) * np.cos(beta * s + phi), abs(beta))
-
+        return math.cos(phi) / (m + 1) if m <= -2 else 0.0
+    return -((-1j) ** m * _exp_integral_imag(-m, -beta)).real
 
 
 def _poly_osc_integral_01(m: int, beta: float) -> complex:
@@ -167,32 +184,6 @@ def _poly_osc_integral_01(m: int, beta: float) -> complex:
     for j in range(1, m + 1):
         c = (cmath.exp(ib) - j * c) / ib
     return c
-
-
-def _osc_tail_integral(f, freq: float, start: float = 1.0, freqs=()) -> float:
-    """int_start^inf of a decaying oscillatory integrand via averaged panels.
-
-    freqs lists the oscillation frequencies present; the cumulative sums are
-    averaged at each one's half period, which removes the corresponding
-    component to leading order even when it spans many panels.
-    """
-    freqs = [abs(w) for w in (freqs or (freq,)) if abs(w) > 1e-12]
-    h = math.pi / max(max(freqs), 1e-3)
-    n_panels = 640
-    lo = start
-    panels = np.empty(n_panels)
-    for i in range(n_panels):
-        nodes, wts = gl_nodes(lo, lo + h, 16)
-        panels[i] = float(np.dot(wts, f(nodes)))
-        lo += h
-    cum = np.cumsum(panels)
-    for w in sorted(freqs):
-        lag = max(int(round(math.pi / (w * h))), 1)
-        for _ in range(3):
-            if len(cum) <= lag:
-                break
-            cum = 0.5 * (cum[lag:] + cum[:-lag])
-    return float(np.mean(cum[-min(8, len(cum)):]))
 
 
 def bead_kernel_alt(cx: int, x: float, cy: int, y: float) -> float:
@@ -236,7 +227,9 @@ def _power_tail_integral(m: int, beta: float) -> complex:
 
 
 def hard_edge_kernel(a: float, cx: int, x: float, cy: int, y: float) -> float:
-    """Hard-edge kernel between species offsets; Bessel orders a+cx, a+cy."""
+    """Hard-edge kernel between species offsets; Bessel orders a+cx, a+cy.
+    For m = cy - cx < 0 the integral over [1, inf) is the Weber-Schafheitlin
+    integral over [0, inf) minus the head on [0, 1]."""
     if a <= -1:
         raise ValueError("need a > -1")
     if x < 0 or y < 0:
@@ -245,14 +238,30 @@ def hard_edge_kernel(a: float, cx: int, x: float, cy: int, y: float) -> float:
         raise ValueError("Bessel order a + c must be >= 0")
     m = cy - cx
     sx, sy = math.sqrt(x), math.sqrt(y)
-
-    def integrand(v):
-        return 2.0 * v ** (m + 1.0) * special.jv(a + cx, v * sx) * special.jv(a + cy, v * sy)
-
+    nodes, wts = gl_nodes(0.0, 1.0, 64)
+    head = float(np.dot(wts, 2.0 * nodes ** (m + 1.0) * special.jv(a + cx, nodes * sx)
+                        * special.jv(a + cy, nodes * sy)))
     if m >= 0:
-        nodes, wts = gl_nodes(0.0, 1.0, 64)
-        return 0.25 * float(np.dot(wts, integrand(nodes)))
-    return -0.25 * _osc_tail_integral(integrand, sx + sy, freqs=(sx + sy, sx - sy))
+        return 0.25 * head
+    lam = -(m + 1.0)
+    if x == y and (lam == 0.0 or x == 0.0):
+        # at lam = 0 the integral jumps across x = y: take the mean of the
+        # one-sided limits, as at the jump of the indicator kernel
+        whole = 0.5 / sx if x > 0.0 else 0.0
+    elif sy <= sx:
+        whole = _weber_schafheitlin(lam, a + cx, sx, a + cy, sy)
+    else:
+        whole = _weber_schafheitlin(lam, a + cy, sy, a + cx, sx)
+    return 0.25 * (head - 2.0 * whole)
+
+
+def _weber_schafheitlin(lam: float, mu: float, p: float, nu: float, q: float) -> float:
+    """int_0^inf J_mu(p t) J_nu(q t) t^(-lam) dt for 0 <= q <= p, p > 0 and
+    mu + nu + 1 > lam >= 0 (DLMF 10.22.56); at q = p hyp2f1 gives Gauss's sum."""
+    A = 0.5 * (nu + mu - lam + 1.0)
+    return (q**nu * special.gamma(A) * special.rgamma(0.5 * (mu - nu + lam + 1.0))
+            / (2.0**lam * p ** (nu - lam + 1.0) * special.gamma(nu + 1.0))
+            * special.hyp2f1(A, 0.5 * (nu - mu - lam + 1.0), nu + 1.0, (q / p) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -262,45 +271,34 @@ def hard_edge_kernel(a: float, cx: int, x: float, cy: int, y: float) -> float:
 
 def _resolve(q: LimitQuery):
     """Map (offsets, positions) to model species/coordinates plus the scale."""
-    kind = q.ensemble.kind
-    N = q.N
-    pts = []
+    kind, N = q.ensemble.kind, q.N
+    pairs = list(zip(q.offsets, q.positions))
+    if kind == op.GAUSSIAN:
+        scale = 1.0 / (math.sqrt(2.0) * N ** (1.0 / 6.0))
+    else:
+        scale = 2.0 * (2.0 * N) ** (1.0 / 3.0)
     if q.regime == SOFT_FIXED:
-        if kind == op.GAUSSIAN:
-            scale = 1.0 / (math.sqrt(2.0) * N ** (1.0 / 6.0))
-            for c, Y in zip(q.offsets, q.positions):
-                pts.append((N - int(c), math.sqrt(2.0 * N) + Y * scale))
-        else:
-            scale = 2.0 * (2.0 * N) ** (1.0 / 3.0)
-            edge = 4.0 * N + 2.0 * q.ensemble.a
-            for c, Y in zip(q.offsets, q.positions):
-                pts.append((N - int(c), edge + Y * scale))
-    elif q.regime == BULK:
-        scale = math.pi / math.sqrt(2.0 * N)
-        for c, Y in zip(q.offsets, q.positions):
-            pts.append((N - int(c), Y * scale))
-    elif q.regime == HARD_EDGE:
-        scale = 1.0 / (4.0 * N)
-        for c, X in zip(q.offsets, q.positions):
-            pts.append((N - int(c), X * scale))
-    else:  # SOFT_DRIFT
-        if kind == op.GAUSSIAN:
-            scale = 1.0 / (math.sqrt(2.0) * N ** (1.0 / 6.0))
-            for c, Y in zip(q.offsets, q.positions):
-                s = int(round(N + 2.0 * c * N ** (2.0 / 3.0)))
-                pts.append((s, math.sqrt(2.0 * s) + Y / (math.sqrt(2.0) * s ** (1.0 / 6.0))))
-        elif kind == op.LAGUERRE:
-            scale = 2.0 * (2.0 * N) ** (1.0 / 3.0)
-            for c, Y in zip(q.offsets, q.positions):
-                s = int(round(N - 2.0 * c * (2.0 * N) ** (2.0 / 3.0)))
-                # species s has effective exponent a + N - s; its edge is
-                # (sqrt(s) + sqrt(s + a + N - s))^2, which the 4s + 2(a+N-s)
-                # form only matches to within O(1) of the fluctuation scale
-                a_eff = q.ensemble.a + N - s
-                edge = (math.sqrt(s) + math.sqrt(s + a_eff)) ** 2
-                pts.append((s, edge + scale * Y))
-        else:
-            raise ValueError("soft drift needs the gaussian or laguerre family")
+        edge = math.sqrt(2.0 * N) if kind == op.GAUSSIAN else 4.0 * N + 2.0 * q.ensemble.a
+        pts = [(N - int(c), edge + Y * scale) for c, Y in pairs]
+    elif q.regime in (BULK, HARD_EDGE):
+        scale = math.pi / math.sqrt(2.0 * N) if q.regime == BULK else 1.0 / (4.0 * N)
+        pts = [(N - int(c), Y * scale) for c, Y in pairs]
+    elif kind == op.GAUSSIAN:  # SOFT_DRIFT
+        pts = []
+        for c, Y in pairs:
+            s = int(round(N + 2.0 * c * N ** (2.0 / 3.0)))
+            pts.append((s, math.sqrt(2.0 * s) + Y / (math.sqrt(2.0) * s ** (1.0 / 6.0))))
+    elif kind == op.LAGUERRE:
+        pts = []
+        for c, Y in pairs:
+            s = int(round(N - 2.0 * c * (2.0 * N) ** (2.0 / 3.0)))
+            # species s has effective exponent a + N - s; its edge is
+            # (sqrt(s) + sqrt(s + a + N - s))^2, which the 4s + 2(a+N-s)
+            # form only matches to within O(1) of the fluctuation scale
+            a_eff = q.ensemble.a + N - s
+            pts.append((s, (math.sqrt(s) + math.sqrt(s + a_eff)) ** 2 + scale * Y))
+    else:
+        raise ValueError("soft drift needs the gaussian or laguerre family")
     for s, _ in pts:
         if not 1 <= s <= N:
             raise ValueError(f"mapped species {s} lands outside [1, {N}]")
@@ -309,17 +307,12 @@ def _resolve(q: LimitQuery):
 
 def realized_offsets(q: LimitQuery) -> tuple[float, ...]:
     """Offsets implied by the rounded species indices actually used."""
-    pts, _ = _resolve(q)
     N = q.N
-    out = []
-    for s, _ in pts:
-        if q.regime == SOFT_DRIFT and q.ensemble.kind == op.GAUSSIAN:
-            out.append((s - N) / (2.0 * N ** (2.0 / 3.0)))
-        elif q.regime == SOFT_DRIFT:
-            out.append((N - s) / (2.0 * (2.0 * N) ** (2.0 / 3.0)))
-        else:
-            out.append(float(N - s))
-    return tuple(out)
+    if q.regime != SOFT_DRIFT:
+        return tuple(float(N - s) for s, _ in _resolve(q)[0])
+    if q.ensemble.kind == op.GAUSSIAN:
+        return tuple((s - N) / (2.0 * N ** (2.0 / 3.0)) for s, _ in _resolve(q)[0])
+    return tuple((N - s) / (2.0 * (2.0 * N) ** (2.0 / 3.0)) for s, _ in _resolve(q)[0])
 
 
 def scaled_finite_kernel(q: LimitQuery, j: int, k: int) -> float:
@@ -334,14 +327,15 @@ def scaled_finite_kernel(q: LimitQuery, j: int, k: int) -> float:
     proc = ProcessSpec(q.ensemble, q.N)
     pj = SpeciesPoint(*pts[j])
     pk = SpeciesPoint(*pts[k])
+    # F's diagonal is K's, and F_jk F_kj = K_jk K_kj
+    fjk = kernel_F(proc, pj, pk)
     if j == k:
-        s, lg = _kernel_slog(proc, pj, pk)
-        return scale * slog_to_float(s, lg)
-    s1, l1 = _kernel_slog(proc, pj, pk)
-    s2, l2 = _kernel_slog(proc, pk, pj)
-    if s1 == 0.0 or s2 == 0.0:
+        return scale * fjk
+    fkj = kernel_F(proc, pk, pj)
+    if fjk == 0.0 or fkj == 0.0:
         return 0.0
-    return s1 * s2 * scale * math.exp(0.5 * (l1 + l2))
+    mag = scale * math.sqrt(abs(fjk)) * math.sqrt(abs(fkj))
+    return mag if (fjk > 0.0) == (fkj > 0.0) else -mag
 
 
 def limit_kernel(q: LimitQuery, j: int, k: int) -> float:
@@ -384,12 +378,10 @@ def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
             lims = [limit_kernel(q, a, b) for a, b in pairs]
             errs = [abs(v - l) for v, l in zip(vals, lims)]
         rows.append({"N": N, "values": vals, "limits": lims, "max_error": max(errs)})
-    orders = []
-    for r0, r1 in zip(rows[:-1], rows[1:]):
-        e0, e1 = r0["max_error"], r1["max_error"]
-        if e1 > 0 and e0 > 0:
-            orders.append(math.log(e0 / e1) / math.log(r1["N"] / r0["N"]))
-    report = {
+    errors = [r["max_error"] for r in rows]
+    orders = [math.log(e0 / e1) / math.log(n1 / n0)
+              for e0, e1, n0, n1 in zip(errors, errors[1:], n_list, n_list[1:]) if e1 > 0 and e0 > 0]
+    return {
         "regime": regime,
         "ensemble": ensemble.kind,
         "a": ensemble.a,
@@ -399,12 +391,10 @@ def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
         "positions": list(positions),
         "mode": mode,
         "rows": rows,
-        "errors": [r["max_error"] for r in rows],
+        "errors": errors,
         "order_estimate": (sum(orders) / len(orders)) if orders else None,
-        "converged": all(a > b for a, b in zip([r["max_error"] for r in rows][:-1],
-                                               [r["max_error"] for r in rows][1:])),
+        "converged": all(a > b for a, b in zip(errors, errors[1:])),
     }
-    return report
 
 
 def _det2(entry) -> float:

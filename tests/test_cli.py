@@ -198,6 +198,13 @@ class TestKernelAndCorrelation:
         assert val == pytest.approx(0.4675956, abs=1e-5)
 
 
+    def test_infinite_weight_point_is_a_usage_error(self, capsys):
+        assert run(["kernel", "--ensemble", "laguerre", "--a", "-0.5", "--N", "1",
+                    "--species", "1", "1", "--points", "0.6453", "0"]) == 2
+        assert run(["correlation", "--ensemble", "jacobi", "--a", "-0.5", "--b", "-0.3",
+                    "--N", "3", "--species", "3", "3", "--points", "0.4", "1.0"]) == 2
+        assert "infinite" in capsys.readouterr().err
+
 class TestSuitesAndReports:
     def test_bead_det_suite(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -273,6 +280,11 @@ class TestSuitesAndReports:
         assert run(args) == 0
         assert run(args + ["--tolerance", "1e-6"]) == 1
         assert run(args + ["--tolerance", "1e-2"]) == 0
+
+    def test_limitcheck_hard_edge_at_the_origin(self, capsys):
+        # both points at X = 0: the cross-species limit entries are 0
+        assert run(["limitcheck", "--regime", "hard", "--ensemble", "laguerre", "--N", "50",
+                    "--offsets", "0", "1", "--positions", "0", "0"]) == 0
 
 
 def _readme_commands():

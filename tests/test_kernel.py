@@ -278,6 +278,37 @@ class TestZeroWeightPoints:
                         assert abs(v) < 1e-13
 
 
+class TestInfiniteWeightPoints:
+    """Where the top species' weight is infinite, entries and correlations
+    are not numbers: every kernel entry point raises instead of giving NaN."""
+
+    LAG_NEG = ProcessSpec(op.EnsembleSpec(op.LAGUERRE, a=-0.5), 1)
+    JAC_NEG = ProcessSpec(op.EnsembleSpec(op.JACOBI, a=-0.5, b=-0.3), 3)
+
+    @pytest.mark.parametrize("proc,p1,p2", [
+        (LAG_NEG, (1, 0.6453), (1, 0.0)),
+        (LAG_NEG, (1, 0.0), (1, 0.0)),
+        (JAC_NEG, (3, 0.4), (3, 1.0)),
+        (JAC_NEG, (3, 0.0), (2, 0.4)),
+    ], ids=["lag-column", "lag-diagonal", "jac-b-end", "jac-a-end-down"])
+    def test_kernel_entries_raise(self, proc, p1, p2):
+        for f in (kernel_K, kernel_F):
+            with pytest.raises(ValueError, match="infinite"):
+                f(proc, SpeciesPoint(*p1), SpeciesPoint(*p2))
+
+    def test_correlation_raises(self):
+        with pytest.raises(ValueError, match="infinite"):
+            correlation(self.LAG_NEG, [SpeciesPoint(1, 0.0)])
+        with pytest.raises(ValueError, match="infinite"):
+            correlation(self.JAC_NEG, [SpeciesPoint(2, 0.5), SpeciesPoint(3, 1.0)])
+
+    def test_lower_species_stay_finite(self):
+        # species below the top carry exponents shifted up by N - s > 0
+        v = kernel_K(self.JAC_NEG, SpeciesPoint(2, 0.0), SpeciesPoint(2, 1.0)).value
+        assert math.isfinite(v)
+        assert math.isfinite(correlation(self.JAC_NEG, [SpeciesPoint(2, 0.2), SpeciesPoint(3, 0.4)]))
+
+
 class TestDensity:
     def test_single_point(self):
         assert density(ProcessSpec(GAUSS, 1), 1, [0.0])[0] == pytest.approx(0.5641895835, rel=1e-9)

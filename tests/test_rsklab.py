@@ -26,7 +26,7 @@ from minorkern.rsklab import (
 )
 from minorkern import rsklab
 from minorkern.rsklab import _rsk_shape
-from minorkern.samplers import sample_lue_batch
+from minorkern.samplers import rng_stream, sample_lue_batch
 from minorkern.validate import ks_two_sample
 
 
@@ -74,6 +74,32 @@ class TestLattice:
             LatticeConfig(2, 1, 1, Geometric(z=1.2, t=0.5, alphas=(0.5,)))
         with pytest.raises(ValueError):
             LatticeConfig(2, 1, 1, ExponentialInhomogeneous((1.0, 1.0), (-2.0, 0.5)))
+
+    @pytest.mark.parametrize("cfg", [
+        LatticeConfig(3, 1, 1, Geometric(z=0.3, t=0.5, alphas=(0.4,))),
+        LatticeConfig(4, 2, 1, ExponentialJacobi(a=0.5, a_s=(0.3,))),
+    ], ids=["geometric", "exponential-jacobi"])
+    def test_draws_match_per_cell_reference(self, cfg):
+        # one site at a time, row by row, from the same stream
+        m = cfg.model
+        for d in range(50):
+            rng = rng_stream(11, d)
+            ref = np.empty((cfg.n1, cfg.cols()))
+            for i in range(1, cfg.n1 + 1):
+                for j in range(1, cfg.cols() + 1):
+                    if isinstance(m, Geometric):
+                        q = m.z**2 * m.t ** (i + j - 2) if j <= cfg.n2 else m.alphas[j - cfg.n2 - 1] * m.z * m.t ** (i - 1)
+                        ref[i - 1, j - 1] = rng.geometric(1.0 - q) - 1
+                    else:
+                        rate = (i + j - 2 + 2 * m.a) if j <= cfg.n2 else (i - 1 + m.a + m.a_s[j - cfg.n2 - 1])
+                        ref[i - 1, j - 1] = rng.exponential(1.0 / rate)
+            assert np.array_equal(sample_lattice(cfg, seed=11, draw=d), ref)
+
+    def test_nonpositive_rate_rejected(self):
+        with pytest.raises(ValueError):
+            LatticeConfig(2, 1, 0, ExponentialJacobi(a=0.0))
+        with pytest.raises(ValueError):
+            LatticeConfig(2, 1, 1, ExponentialJacobi(a=0.5))
 
 
 class TestLastPassage:

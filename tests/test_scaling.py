@@ -6,6 +6,7 @@ from scipy import integrate, special
 
 from minorkern import orthopoly as op
 from minorkern import scaling
+from minorkern.numerics import NumericError
 from minorkern.scaling import (
     BULK,
     HARD_EDGE,
@@ -50,6 +51,24 @@ class TestAiryKernel:
         with pytest.raises(ValueError):
             airy_kernel(25.0, 0.0)
 
+    @pytest.mark.parametrize("x", [-3.0, 0.0, 0.4273216401143463, 2.0])
+    def test_diagonal_closed_form(self, x):
+        import mpmath
+
+        with mpmath.workdps(30):
+            ref = float(mpmath.airyai(x, 1) ** 2 - x * mpmath.airyai(x) ** 2)
+        assert airy_kernel(x, x) == pytest.approx(ref, abs=1e-15)
+
+    @pytest.mark.parametrize("x,h", [(0.5, 9e-5), (-2.0, 3e-5), (1.5, -6e-5)])
+    def test_near_diagonal_expansion(self, x, h):
+        import mpmath
+
+        with mpmath.workdps(40):
+            y = mpmath.mpf(x) + mpmath.mpf(h)
+            ref = float((mpmath.airyai(x) * mpmath.airyai(y, 1) - mpmath.airyai(x, 1) * mpmath.airyai(y))
+                        / (x - y))
+        assert airy_kernel(x, float(y)) == pytest.approx(ref, abs=1e-15)
+
 
 class TestExtendedAiry:
     def test_zero_offset_reduces_to_airy(self):
@@ -72,6 +91,26 @@ class TestExtendedAiry:
     def test_offset_range(self):
         with pytest.raises(ValueError):
             extended_airy(0.0, 0.0, 6.0, 0.0)
+
+    @pytest.mark.parametrize("tau_x,x,tau_y,y", [
+        (1.0, 0.3, 0.0, -0.2), (0.0, 0.0, -0.5, 0.3), (0.5, -1.0, -1.5, 1.2), (3.0, 0.5, -3.0, 0.2),
+    ])
+    def test_backward_branch_vs_half_line_integral(self, tau_x, x, tau_y, y):
+        import mpmath
+
+        t = tau_x - tau_y
+        with mpmath.workdps(20):
+            f = lambda u: mpmath.exp(t * u) * mpmath.airyai(x + u) * mpmath.airyai(y + u)
+            # beyond u = -30 / t, e^(t u) < 1e-13 and |Ai| < 1
+            ref = -float(mpmath.quad(f, mpmath.linspace(-30.0 / t, 0.0, 16), method="gauss-legendre"))
+        assert extended_airy(tau_x, x, tau_y, y) == pytest.approx(ref, abs=1e-10)
+
+    def test_quadrature_error_estimate_is_checked(self, monkeypatch):
+        monkeypatch.setattr(scaling.integrate, "quad", lambda *a, **k: (0.1, 1e-6, {}))
+        with pytest.raises(NumericError):
+            extended_airy(0.0, 0.2, 1.0, 0.8)
+        with pytest.raises(NumericError):
+            extended_airy(1.0, 0.2, 0.0, 0.8)
 
 
 class TestBeadKernel:
@@ -105,6 +144,17 @@ class TestBeadKernel:
         f = lambda s: s**8 * np.cos(math.pi * 0.5 * s - math.pi * 4)
         ref, _ = integrate.quad(f, 0, 1)
         assert v == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("m", range(-12, -6))
+    @pytest.mark.parametrize("x,y", [(0.2, 0.0), (0.61, 0.0), (0.2, -9.0), (-1.3, 2.4)])
+    def test_far_negative_offsets_vs_expint(self, m, x, y):
+        import mpmath
+
+        # -int_1^inf s^m cos(beta s - pi m / 2) ds, with int_1^inf s^-n e^(i beta s) ds = E_n(-i beta)
+        beta = math.pi * (x - y)
+        with mpmath.workdps(30):
+            ref = -float(mpmath.re(mpmath.exp(-0.5j * mpmath.pi * m) * mpmath.expint(-m, -1j * beta)))
+        assert bead_kernel(0, x, m, y) == pytest.approx(ref, abs=1e-12)
 
 
 class TestBeadAlt:
@@ -157,6 +207,42 @@ class TestHardEdge:
             hard_edge_kernel(0.0, -1, 1.0, 0, 1.0)
         with pytest.raises(ValueError):
             hard_edge_kernel(0.0, 0, -1.0, 0, 1.0)
+
+    def test_equal_positions_adjacent_species(self):
+        # d/dv J_0(v sqrt 2)^2 = -2 sqrt 2 J_0 J_1, and the integral over
+        # [0, inf) is 1 / (2 sqrt 2) at the jump
+        expect = -special.j0(math.sqrt(2.0)) ** 2 / (4.0 * math.sqrt(2.0))
+        assert expect == pytest.approx(-0.05526587351675155, abs=1e-16)
+        assert hard_edge_kernel(0.0, 1, 2.0, 0, 2.0) == pytest.approx(expect, abs=1e-12)
+
+    def test_equal_positions_two_species_apart(self):
+        import mpmath
+
+        # int_0^inf t^-1 J_3(t) J_1(t) dt = 0, so only the head on [0, 1] is left
+        with mpmath.workdps(30):
+            r2 = mpmath.sqrt(2)
+            head = mpmath.quad(lambda v: 2 / v * mpmath.besselj(3, v * r2) * mpmath.besselj(1, v * r2), [0, 1])
+        assert float(head / 4) == pytest.approx(0.004047823155597023, abs=1e-16)
+        assert hard_edge_kernel(0.0, 3, 2.0, 1, 2.0) == pytest.approx(0.004047823155597023, abs=1e-12)
+
+    def test_half_integer_orders_vs_oscillatory_oracle(self):
+        import mpmath
+
+        # J_(3/2) and J_(1/2) are elementary (DLMF 10.16.1), which keeps quadosc fast
+        x, y = 2.2, 3.2
+        with mpmath.workdps(20):
+            sx, sy = mpmath.sqrt(x), mpmath.sqrt(y)
+
+            def f(v):
+                p, q = v * sx, v * sy
+                return 4 / (mpmath.pi * mpmath.sqrt(p * q)) * (mpmath.sin(p) / p - mpmath.cos(p)) * mpmath.sin(q)
+
+            ref = -float(mpmath.quadosc(f, [1, mpmath.inf], omega=sx + sy)) / 4
+        assert hard_edge_kernel(0.5, 1, x, 0, y) == pytest.approx(ref, abs=1e-12)
+
+    def test_both_positions_at_the_origin(self):
+        assert hard_edge_kernel(0.0, 1, 0.0, 0, 0.0) == 0.0
+        assert hard_edge_kernel(0.5, 2, 0.0, 0, 0.0) == 0.0
 
 
 class TestScaledFinite:
