@@ -26,6 +26,7 @@ __all__ = [
     "phi_conv",
     "psi",
     "phi_cap",
+    "kernel_F",
     "kernel_K",
     "correlation",
     "density",
@@ -328,10 +329,9 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
         raise ValueError("need 1 <= r <= 12 points")
     if len({(p.s, p.y) for p in points}) != r:
         raise ValueError("duplicate (species, position) pairs are not allowed")
-    mat = np.empty((r, r))
-    for i, pi in enumerate(points):
-        for j, pj in enumerate(points):
-            mat[i, j] = kernel_F(proc, pi, pj)
+    mat = np.array([[kernel_F(proc, pi, pj) for pj in points] for pi in points])
+    if not (mat.any(axis=0).all() and mat.any(axis=1).all()):
+        return 0.0  # a point where its species' weight vanishes zeroes its row or column
     det = float(np.linalg.det(mat))
     if not np.isfinite(mat).all():
         return det
@@ -347,9 +347,5 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
 
 def density(proc: ProcessSpec, s: int, grid) -> np.ndarray:
     """One-point function rho_1(s, y) on a grid; integrates to s over the support."""
-    fam = proc.family(s)
-    grid = np.asarray(grid, dtype=float)
-    lo, hi = fam.support()
-    eta = op.eta_table(fam, s - 1, grid)
-    rho = np.sum(eta * eta, axis=0)
-    return np.where((grid >= lo) & (grid <= hi), rho, 0.0)
+    eta = op.eta_table(proc.family(s), s - 1, grid)
+    return np.sum(eta * eta, axis=0)

@@ -1,10 +1,13 @@
-"""Shared numeric helpers: the numeric error, signed-log conversion and quadrature bits."""
+"""Shared numeric helpers: the numeric error, signed-log conversion, the
+interlacing test and quadrature bits."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+__all__ = ["NumericError", "NEG_INF", "slog_to_float", "interlaced", "gauss_legendre", "gl_nodes"]
 
 
 class NumericError(RuntimeError):
@@ -18,6 +21,14 @@ def slog_to_float(s: float, lg: float) -> float:
     if s == 0.0 or lg == NEG_INF:
         return 0.0
     return s * math.exp(lg)
+
+
+def interlaced(outer, inner, weak: bool = False) -> bool:
+    """outer[0] > inner[0] > outer[1] > inner[1] > ... > outer[-1], for an
+    outer sequence one longer than inner; weak allows inner[j] == outer[j + 1]."""
+    if len(outer) != len(inner) + 1:
+        raise ValueError(f"{len(outer)} outer values cannot interlace {len(inner)} inner ones")
+    return all(o > i and (i >= n if weak else i > n) for o, i, n in zip(outer, inner, outer[1:]))
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

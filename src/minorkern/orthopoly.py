@@ -30,6 +30,7 @@ __all__ = [
     "GAUSSIAN",
     "LAGUERRE",
     "JACOBI",
+    "KINDS",
     "EnsembleSpec",
     "ShiftedFamily",
     "RodriguesData",
@@ -39,9 +40,12 @@ __all__ = [
     "norm_constant",
     "log_norm_constant",
     "rodrigues_constants",
+    "log_abs_e",
+    "sign_e",
     "eval_eta",
     "eta_table",
     "log_poly_table",
+    "gauss_weight_nodes",
     "airy",
     "bessel_j",
 ]
@@ -125,48 +129,26 @@ def _as_family(fam) -> ShiftedFamily:
     return fam
 
 
-def eval_weight(fam, x: float) -> float:
-    """Weight w(x) of the (shifted) family; exactly 0 outside the support."""
+def eval_weight(fam, x):
+    """Weight w(x) = exp(log_weight(fam, x)); exactly 0 outside the support."""
+    w = np.exp(log_weight(fam, x))
+    return w if np.ndim(w) else float(w)
+
+
+def log_weight(fam, x):
+    """log w(x) at a float or an array of points, with -inf outside the
+    support; at an endpoint a factor with exponent 0 gives 0, any other +-inf."""
     fam = _as_family(fam)
     a, b = fam.params()
-    if fam.kind == GAUSSIAN:
-        return math.exp(-x * x)
-    if fam.kind == LAGUERRE:
-        if x < 0.0 or x == math.inf:
-            return 0.0
-        return _power(x, a) * math.exp(-x)
-    if x < 0.0 or x > 1.0:
-        return 0.0
-    return _power(x, a) * _power(1.0 - x, b)
-
-
-def _power(x: float, p: float) -> float:
-    if x == 0.0:
-        if p > 0.0:
-            return 0.0
-        if p == 0.0:
-            return 1.0
-        return math.inf
-    return x**p
-
-
-def log_weight(fam, x: float) -> float:
-    """log w(x), with -inf outside the support."""
-    fam = _as_family(fam)
-    a, b = fam.params()
-    if fam.kind == GAUSSIAN:
-        return -x * x
-    if fam.kind == LAGUERRE:
-        if x < 0.0 or x == math.inf:
-            return -math.inf
-        if x == 0.0:
-            return 0.0 if a == 0.0 else -math.copysign(math.inf, a)
-        return a * math.log(x) - x
-    if x < 0.0 or x > 1.0:
-        return -math.inf
-    la = a * math.log(x) if x > 0.0 else (0.0 if a == 0.0 else -math.copysign(math.inf, a))
-    lb = b * math.log(1.0 - x) if x < 1.0 else (0.0 if b == 0.0 else -math.copysign(math.inf, b))
-    return la + lb
+    x = np.asarray(x, dtype=float)
+    lo, hi = fam.support()
+    with np.errstate(invalid="ignore"):  # log(x < 0) and inf - inf, both masked
+        if fam.kind == GAUSSIAN:
+            lw = -x * x
+        else:
+            lw = special.xlogy(a, x) + (-x if fam.kind == LAGUERRE else special.xlogy(b, 1.0 - x))
+        lw = np.where((x < lo) | (x > hi) | (x == math.inf), -math.inf, lw)
+    return lw if lw.ndim else float(lw)
 
 
 def _coeffs(fam, kmax: int):
@@ -363,8 +345,7 @@ def eta_table(fam, kmax: int, x) -> np.ndarray:
     """
     fam = _as_family(fam)
     x = np.asarray(x, dtype=float)
-    logw = np.array([log_weight(fam, xi) for xi in x.ravel()]).reshape(x.shape)
-    rows = _normalized_rows(fam, kmax, x, 0.5 * logw)
+    rows = _normalized_rows(fam, kmax, x, 0.5 * log_weight(fam, x))
     # a scalar's column is converted in one numpy call; an array's rows are
     # converted as they come, so no second table of offsets is held
     if x.ndim == 0:

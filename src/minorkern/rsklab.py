@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import interlaced
 from .samplers import (
     LUE_UPDATE,
     SecularProblem,
     draw_streams,
-    rng_stream,
     sample_lue_batch,
     secular_roots,
 )
@@ -37,6 +37,7 @@ __all__ = [
     "LatticeConfig",
     "ShapeSequence",
     "sample_lattice",
+    "sample_lattice_batch",
     "last_passage",
     "rsk_shape_sequence",
     "eval_discrete_joint",
@@ -141,20 +142,24 @@ class ShapeSequence:
         return [mu[j] + self.n2 + s - (j + 1) for j in range(self.n2 + s)]
 
     def interlaced(self) -> bool:
-        for s in range(1, len(self.shapes)):
-            hp, hm = self.h(s), self.h(s - 1)
-            for j in range(len(hp) - 1):
-                if not (hp[j] > hm[j] >= hp[j + 1]):
-                    return False
-        return True
+        return all(interlaced(self.h(s), self.h(s - 1), weak=True) for s in range(1, len(self.shapes)))
 
 
 def sample_lattice(cfg: LatticeConfig, seed: int, draw: int = 0) -> np.ndarray:
-    """One grid of independent site values, row i from the bottom, column j."""
-    rng = rng_stream(seed, draw)
-    if isinstance(cfg.model, Geometric):
-        return (rng.geometric(1.0 - cfg._sites) - 1).astype(float)
-    return rng.exponential(1.0 / cfg._sites)
+    """One grid of independent site values, row i from the bottom, column j;
+    row `draw` of sample_lattice_batch."""
+    return sample_lattice_batch(cfg, 1, seed, start=draw)[0]
+
+
+def sample_lattice_batch(cfg: LatticeConfig, draws: int, seed: int, start: int = 0) -> np.ndarray:
+    """Grids (draws, n1, n2 + p) of draws start, ..., start + draws - 1, one
+    generator call per draw on its own stream."""
+    geometric = isinstance(cfg.model, Geometric)
+    param = 1.0 - cfg._sites if geometric else 1.0 / cfg._sites
+    out = np.empty((draws,) + param.shape)
+    for gen, grid in zip(draw_streams(seed, start, draws), out):
+        grid[...] = gen.geometric(param) - 1 if geometric else gen.exponential(param)
+    return out
 
 
 def last_passage(grid: np.ndarray, m: int, n: int) -> float:
@@ -272,20 +277,6 @@ def _binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _check_x_interlacing(points: dict[int, list[float]], p: int) -> bool:
-    """Strict chain x_1^(s) > x_1^(s-1) > x_2^(s) > ... > x_last^(s) > 0."""
-    for s in range(p + 1):
-        xs = points[s]
-        if any(b <= 0 for b in xs) or any(xs[i] <= xs[i + 1] for i in range(len(xs) - 1)):
-            return False
-    for s in range(1, p + 1):
-        hi, lo = points[s], points[s - 1]
-        for j in range(len(hi) - 1):
-            if not (hi[j] > lo[j] > hi[j + 1]):
-                return False
-    return True
-
-
 def eval_jacobi_limit_pdf(n1: int, n2: int, p: int, a: float, a_s, points: dict[int, list[float]]) -> float:
     """Continuum limit density at interlaced positive points x_j^(s).
 
@@ -298,7 +289,10 @@ def eval_jacobi_limit_pdf(n1: int, n2: int, p: int, a: float, a_s, points: dict[
     for s in range(p + 1):
         if len(points[s]) != n2 + s:
             raise ValueError(f"level {s} needs {n2 + s} points")
-    if not _check_x_interlacing(points, p):
+    # x_1^(p) > ... > x_last^(p) > 0 and strict interlacing give the same for every level below
+    top = points[p]
+    if not (all(u > v for u, v in zip(top, [*top[1:], 0.0]))
+            and all(interlaced(points[s], points[s - 1]) for s in range(1, p + 1))):
         return 0.0
     lg = _log_jacobi_limit_constant(n1, n2, p, a, a_s)
     lg -= a * (sum(points[p]) + sum(points[0]))
@@ -346,15 +340,10 @@ def specialized_weight_form(n1: int, n2: int, p: int, a: float, ypoints: dict[in
     Equals w(y) = y^(2a-p-1) (1-y)^(n1-n2-p) on the top level, bare Vandermonde
     on level 0, and pure interlacing constraints in between.
     """
-    for s in range(p + 1):
-        ys = ypoints[s]
-        if any(not 0 < y < 1 for y in ys) or any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
-            return 0.0
-    for s in range(1, p + 1):
-        lo, hi = ypoints[s], ypoints[s - 1]
-        for j in range(len(lo) - 1):
-            if not (lo[j] < hi[j] < lo[j + 1]):
-                return 0.0
+    top = ypoints[p]
+    if not (all(u < v for u, v in zip([0.0, *top], [*top, 1.0]))
+            and all(interlaced(ypoints[s][::-1], ypoints[s - 1][::-1]) for s in range(1, p + 1))):
+        return 0.0
     val = 1.0
     for y in ypoints[p]:
         val *= y ** (2 * a - p - 1) * (1 - y) ** (n1 - n2 - p)

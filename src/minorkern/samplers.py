@@ -20,15 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import orthopoly as op
-from .numerics import NumericError
+from .numerics import NumericError, interlaced
 
 __all__ = [
     "InterlacedChain",
     "SecularProblem",
+    "LUE_UPDATE",
+    "draw_streams",
     "sample_gue_minor_chain",
     "sample_lue_chain",
     "sample_projection_chain",
     "sample_ensemble_eigs",
+    "sample_gue_minor_batch",
+    "sample_lue_batch",
+    "sample_projection_batch",
     "secular_roots",
     "interlaces",
     "chains_to_csv",
@@ -83,7 +88,7 @@ class InterlacedChain:
 def interlaces(chain: InterlacedChain) -> bool:
     """Strict interlacing between every consecutive pair of species present."""
     sp = chain.species
-    return all(np.all(sp[s + 1][:-1] < sp[s]) and np.all(sp[s] < sp[s + 1][1:])
+    return all(interlaced(sp[s + 1][::-1], sp[s][::-1])
                for s in sp if s + 1 in sp and len(sp[s + 1]) == len(sp[s]) + 1)
 
 

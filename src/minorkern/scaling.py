@@ -37,6 +37,8 @@ __all__ = [
     "realized_offsets",
     "limit_kernel",
     "convergence_report",
+    "report_to_json",
+    "report_to_csv",
 ]
 
 SOFT_FIXED = "soft"

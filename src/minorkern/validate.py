@@ -18,8 +18,10 @@ from scipy import stats
 
 from . import orthopoly as op
 from .kernel import ProcessSpec, SpeciesPoint
+from .numerics import gauss_legendre
 
 __all__ = [
+    "SUP_NORM",
     "ComparisonReport",
     "DensityEstimate",
     "brute_force_marginal",
@@ -97,24 +99,13 @@ def _base_edges(spec: op.EnsembleSpec, N: int) -> list[float]:
     return list(np.linspace(lo, hi, 6))
 
 
-def _logw_vec(spec: op.EnsembleSpec, x: np.ndarray) -> np.ndarray:
-    if spec.kind == op.GAUSSIAN:
-        return -x * x
-    with np.errstate(divide="ignore"):
-        if spec.kind == op.LAGUERRE:
-            return np.where(x > 0, spec.a * np.log(np.maximum(x, 1e-300)) - x,
-                            0.0 if spec.a == 0 else -np.inf)
-        return (spec.a * np.log(np.maximum(x, 1e-300))
-                + spec.b * np.log(np.maximum(1.0 - x, 1e-300)))
-
-
 def _nested_nodes(lo, hi, edges, n: int):
     """Panelized GL nodes/weights on [lo, hi] (arrays ok), split at the edges.
 
     Returns (nodes, weights) with one new trailing axis; empty segments get
     zero weight.
     """
-    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg, wg = gauss_legendre(n)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     cuts = [-np.inf] + list(edges) + [np.inf]
@@ -141,9 +132,7 @@ def _gap_moments(lo, hi, kind: str, cut=None):
         else:
             hi = np.minimum(hi, c)
     width = np.maximum(hi - lo, 0.0)
-    if kind == "one":
-        return width
-    return 0.5 * np.maximum(hi - lo, 0.0) * (hi + lo) * (hi > lo)
+    return width if kind == "one" else 0.5 * width * (hi + lo) * (hi > lo)
 
 
 def _lower_integral(spec, N, tops, pins1, pins2):
@@ -170,17 +159,13 @@ def _lower_integral(spec, N, tops, pins1, pins2):
     else:
         terms = [(("x", None), ("one", None), 1.0), (("one", None), ("x", None), -1.0)]
     total = 0.0
+    ps = sorted(pins2, reverse=True)
     for (ka, ca), (kb, cb), sign in terms:
         # slot u in (t2, t1), slot v in (t3, t2); pins placed by ordering
-        val_u = None
-        val_v = None
-        mask = 1.0
-        ps = sorted(pins2, reverse=True)
         if len(ps) == 2:
             ya, yb = ps
             mask = ((t2 < ya) & (ya < t1) & (t3 < yb) & (yb < t2)).astype(float)
-            val_u = _point_factor(ka, ca, ya)
-            val_v = _point_factor(kb, cb, yb)
+            total = total + sign * mask * _point_factor(ka, ca, ya) * _point_factor(kb, cb, yb)
         elif len(ps) == 1:
             (ya,) = ps
             in_u = ((t2 < ya) & (ya < t1)).astype(float)
@@ -188,12 +173,8 @@ def _lower_integral(spec, N, tops, pins1, pins2):
             term_u = in_u * _point_factor(ka, ca, ya) * _gap_moments(t3, t2, kb, cb)
             term_v = in_v * _gap_moments(t2, t1, ka, ca) * _point_factor(kb, cb, ya)
             total = total + sign * (term_u + term_v)
-            continue
-        if val_u is None:
-            val_u = _gap_moments(t2, t1, ka, ca)
-        if val_v is None:
-            val_v = _gap_moments(t3, t2, kb, cb)
-        total = total + sign * mask * val_u * val_v
+        else:
+            total = total + sign * _gap_moments(t2, t1, ka, ca) * _gap_moments(t3, t2, kb, cb)
     return total
 
 
@@ -240,7 +221,8 @@ def _joint_integral(spec: op.EnsembleSpec, N: int, pins: dict) -> float:
         for w in wts:
             f = f * w
         for j in range(N):
-            f = f * np.exp(_logw_vec(spec, tops_b[j]))
+            # only at non-zero weight: an empty panel's nodes sit on the support's ends, where w may be infinite
+            f = np.multiply(f, op.eval_weight(spec, tops_b[j]), out=np.zeros(shape), where=f != 0.0)
             for k in range(j + 1, N):
                 f = f * (tops_b[j] - tops_b[k])
         f = f * _lower_integral(spec, N, tops_b, pins1, pins2)

@@ -251,6 +251,15 @@ class TestCorrelation:
         proc = ProcessSpec(LAG, 5)
         assert correlation(proc, [SpeciesPoint(2, 0.0), SpeciesPoint(4, 1.0)]) == 0.0
 
+    def test_zero_weight_point_needs_no_determinant(self):
+        # the F matrix is [[0, -inf], [0, 0.72]]: its zero column answers
+        # before a determinant of a matrix holding -inf could warn
+        proc = ProcessSpec(LAG, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in ([(2, 0.0), (4, 1.0)], [(4, 1.0), (2, 0.0)], [(2, 0.0), (4, 1.0), (3, 2.5)]):
+                assert correlation(proc, [SpeciesPoint(s, y) for s, y in pts]) == 0.0
+
 
 class TestZeroWeightPoints:
     """Entries at points where a weight vanishes are built in the K gauge."""

@@ -44,6 +44,32 @@ class TestWeight:
         assert op.log_weight(fam(spec), x) == -math.inf
         assert op.eval_weight(fam(spec), x) == 0.0
 
+    @pytest.mark.parametrize("spec", [
+        GAUSS, LAG0, LAG1, op.EnsembleSpec(op.LAGUERRE, a=-0.5), JAC,
+        op.EnsembleSpec(op.JACOBI, a=-0.5, b=-0.3), op.EnsembleSpec(op.JACOBI, a=0.0, b=0.7),
+    ], ids=["gauss", "lag0", "lag1", "lag-neg", "jac", "jac-neg", "jac-a0"])
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_array_is_scalar_elementwise(self, spec, shift):
+        xs = np.array([0.0, -0.0, 1.0, math.inf, -math.inf, -0.7, 1.3, 1e-300, 0.25, 0.999, 3.5, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lw = op.log_weight(fam(spec, shift), xs)
+            w = op.eval_weight(fam(spec, shift), xs)
+            assert lw.shape == w.shape == xs.shape
+            assert lw.tobytes() == np.array([op.log_weight(fam(spec, shift), float(x)) for x in xs]).tobytes()
+            assert w.tobytes() == np.array([op.eval_weight(fam(spec, shift), float(x)) for x in xs]).tobytes()
+        assert isinstance(op.log_weight(fam(spec, shift), 0.5), float)
+
+    @pytest.mark.parametrize("spec,x,expect", [
+        (LAG0, 0.0, 0.0), (LAG1, 0.0, -math.inf), (op.EnsembleSpec(op.LAGUERRE, a=-0.5), 0.0, math.inf),
+        (JAC, 1.0, -math.inf), (op.EnsembleSpec(op.JACOBI, a=0.5, b=-0.5), 1.0, math.inf),
+        (op.EnsembleSpec(op.JACOBI, a=0.0, b=0.0), 0.0, 0.0), (LAG1, -1e-300, -math.inf), (JAC, 1.0 + 1e-15, -math.inf),
+    ])
+    def test_endpoints_and_support(self, spec, x, expect):
+        # at an endpoint a factor with exponent 0 is 1, any other 0 or inf
+        assert op.log_weight(spec, x) == expect
+        assert op.eval_weight(spec, x) == math.exp(expect)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             op.EnsembleSpec(op.LAGUERRE, a=-1.0)

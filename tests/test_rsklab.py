@@ -396,3 +396,28 @@ class TestBridge:
     def test_negative_control_scale_mismatch(self):
         rep = lpp_eigenvalue_bridge_test(6, 20000, seed=28, scale=2.0)
         assert not rep["pass"]
+
+
+class TestLatticeBatch:
+    CONFIGS = [GEO, LatticeConfig(4, 2, 1, ExponentialJacobi(a=0.5, a_s=(0.3,))),
+               LatticeConfig(3, 1, 2, ExponentialInhomogeneous((1.0, 2.0, 3.0), (0.5, 0.25, 0.1)))]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["geometric", "exponential-jacobi", "inhomogeneous"])
+    def test_scalar_is_batch_row(self, cfg):
+        batch = rsklab.sample_lattice_batch(cfg, 40, seed=12, start=5)
+        assert batch.shape == (40, cfg.n1, cfg.cols()) and batch.dtype == float
+        for d in range(40):
+            assert sample_lattice(cfg, seed=12, draw=5 + d).tobytes() == batch[d].tobytes()
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["geometric", "exponential-jacobi", "inhomogeneous"])
+    def test_chunked_reruns_are_bitwise(self, cfg):
+        whole = rsklab.sample_lattice_batch(cfg, 30, seed=2**63 + 1)
+        chunks = [rsklab.sample_lattice_batch(cfg, n, seed=2**63 + 1, start=lo) for lo, n in ((0, 7), (7, 16), (23, 7))]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    def test_ranges_checked(self):
+        with pytest.raises(ValueError):
+            rsklab.sample_lattice_batch(GEO, 3, seed=-1)
+        with pytest.raises(ValueError):
+            rsklab.sample_lattice_batch(GEO, 2, seed=0, start=2**128 - 1)
+        assert rsklab.sample_lattice_batch(GEO, 0, seed=0).shape == (0, 3, 2)
