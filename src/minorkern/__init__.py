@@ -12,12 +12,9 @@ from .orthopoly import (
     EnsembleSpec,
     ShiftedFamily,
     airy,
-    bessel_j,
     eval_eta,
     eval_poly,
     eval_weight,
-    norm_constant,
-    rodrigues_constants,
 )
 from .kernel import (
     KernelValue,

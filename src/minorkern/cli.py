@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,13 +29,14 @@ NUMERIC_ERROR = 1
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs; JSON-serializable, flags override file."""
+    """Everything a subcommand needs; JSON-serializable, flags override file.
+    N = 0 leaves the size unset, for a validation suite to use its default."""
 
     subcommand: str = ""
     ensemble: str = op.GAUSSIAN
     a: float = 0.0
     b: float = 0.0
-    N: int = 1
+    N: int = 0
     species: tuple[int, ...] = ()
     grid_min: float = 0.0
     grid_max: float = 0.0
@@ -54,13 +55,6 @@ class RunConfig:
     points: tuple[float, ...] = ()
     tolerance: float = 0.0
     scale: float = 1.0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -164,7 +158,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_scaling(cfg: RunConfig) -> int:
     rep = scaling.convergence_report(cfg.regime, cfg.spec(), cfg.n_list,
                                      cfg.offsets, cfg.positions)
-    _write(cfg.out, scaling.report_to_json(rep) + "\n")
+    _write(cfg.out, json.dumps(rep, sort_keys=True) + "\n")
     if cfg.out:
         with open(os.path.splitext(cfg.out)[0] + ".csv", "w") as fh:
             fh.write(scaling.report_to_csv(rep))
@@ -213,7 +207,7 @@ def _bin_averaged_density(proc, s, edges, order=6):
 
 
 def _suite_biorthogonality(cfg: RunConfig) -> list[dict]:
-    N = cfg.N if cfg.N > 1 else 10
+    N = cfg.N or 10
     proc = ProcessSpec(cfg.spec(), N)
     worst = 0.0
     for n in range(1, N + 1):
@@ -230,7 +224,9 @@ def _suite_biorthogonality(cfg: RunConfig) -> list[dict]:
 
 def _suite_oracle(cfg: RunConfig) -> list[dict]:
     spec = cfg.spec()
-    N = min(cfg.N, 3) if cfg.N > 1 else 2
+    N = cfg.N or 2
+    if N > 3:
+        raise UsageError(f"oracle runs N <= 3, got --N {N}")
     proc = ProcessSpec(spec, N)
     lo, hi = validate.support_box(spec, N)
     span = hi - lo
@@ -250,7 +246,7 @@ def _suite_sampler_vs_kernel(cfg: RunConfig) -> list[dict]:
     checks = []
     if cfg.N > 4:
         raise UsageError(f"sampler-vs-kernel runs N <= 4, got --N {cfg.N}")
-    N = cfg.N if cfg.N > 1 else 3
+    N = cfg.N or 3
     proc = ProcessSpec(spec, N)
     if spec.kind == op.GAUSSIAN:
         batch = samplers.sample_gue_minor_batch(N, draws, cfg.seed)
@@ -274,7 +270,7 @@ def _suite_sampler_vs_kernel(cfg: RunConfig) -> list[dict]:
 
 def _suite_gauge(cfg: RunConfig) -> list[dict]:
     spec = cfg.spec()
-    N = cfg.N if cfg.N > 1 else 4
+    N = cfg.N or 4
     proc = ProcessSpec(spec, N)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = validate.support_box(spec, N)
@@ -448,6 +444,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     for name in required:
         if name not in explicit:
             raise UsageError(f"missing required --{name}")
+    if "N" in changed and cfg.N < 1:
+        raise UsageError(f"--N must be >= 1, got {cfg.N}")
     for name in rejected:
         if name in changed:
             raise UsageError(f"--{name} does not apply to --process {cfg.process}")

@@ -65,10 +65,9 @@ class SpeciesPoint:
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel value together with the (row species, row position) gauge tag."""
+    """A kernel value K(s1,y1;s2,y2)."""
 
     value: float
-    gauge_tag: tuple[int, float]
 
 
 def _log_gamma_vec(spec: op.EnsembleSpec, shift: int, degs: np.ndarray) -> np.ndarray:
@@ -199,7 +198,7 @@ def phi_cap(proc: ProcessSpec, n: int, j: int, x: float) -> float:
 
 
 def _phi_cap_table(proc, n, jmax, x):
-    """(signs, logs) of Phi_j^n(x) for j = 0..jmax, from one log_poly table;
+    """(signs, logs) of Phi_j^n(x) for j = 0..jmax, from one log_poly_table;
     finite outside the support too."""
     fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
     sign, lg = op.log_poly_table(fam, jmax, x)
@@ -319,7 +318,7 @@ def kernel_K(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> KernelVal
     """Two-point correlation kernel K(s1,y1;s2,y2)."""
     _check_weights(proc, p1, p2)
     s, lg = _kernel_slog(proc, p1, p2)
-    return KernelValue(slog_to_float(s, lg), gauge_tag=(p1.s, p1.y))
+    return KernelValue(slog_to_float(s, lg))
 
 
 def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:

@@ -2,8 +2,8 @@
 
 Covers the Gaussian, Laguerre and Jacobi families in the normalizations
 H_j(x), L_j^(a)(x) and P_j^(a,b)(1-2x), plus parameter-shifted variants,
-squared-norm constants, the orthonormal functions eta_k, and the Airy and
-Bessel-J evaluations needed by the scaling kernels.
+squared-norm constants, the orthonormal functions eta_k, and the Airy
+evaluation needed by the scaling kernels.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ KINDS = (GAUSSIAN, LAGUERRE, JACOBI)
 # exponents a, b must stay this far above -1 or the norm constants blow up
 PARAM_FLOOR = 1e-8
 
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
-
 __all__ = [
     "GAUSSIAN",
     "LAGUERRE",
@@ -33,13 +31,10 @@ __all__ = [
     "KINDS",
     "EnsembleSpec",
     "ShiftedFamily",
-    "RodriguesData",
     "eval_weight",
     "log_weight",
     "eval_poly",
-    "norm_constant",
     "log_norm_constant",
-    "rodrigues_constants",
     "log_abs_e",
     "sign_e",
     "eval_eta",
@@ -47,7 +42,6 @@ __all__ = [
     "log_poly_table",
     "gauss_weight_nodes",
     "airy",
-    "bessel_j",
 ]
 
 
@@ -106,21 +100,6 @@ class ShiftedFamily:
 
     def support(self) -> tuple[float, float]:
         return self.base.support()
-
-
-@dataclass(frozen=True)
-class RodriguesData:
-    """The constant e_j and the polynomial Q(y) of a Rodrigues representation.
-
-    ``q_coeffs`` are (c0, c1, c2) with Q(y) = c0 + c1*y + c2*y**2.
-    """
-
-    e_j: float
-    q_coeffs: tuple[float, float, float]
-
-    def q(self, y):
-        c0, c1, c2 = self.q_coeffs
-        return c0 + y * (c1 + y * c2)
 
 
 def _as_family(fam) -> ShiftedFamily:
@@ -241,16 +220,6 @@ def eval_poly(fam, j: int, x):
     return val if np.ndim(val) else float(val)
 
 
-def log_poly(fam, j: int, x: float) -> tuple[float, float]:
-    """(sign, log|p_j(x)|); immune to overflow: entry j of log_poly_table with
-    the norm put back."""
-    fam = _as_family(fam)
-    sign, lg = log_poly_table(fam, j, x)
-    if sign[j] == 0.0:
-        return (0.0, -math.inf)
-    return (float(sign[j]), float(lg[j]) + 0.5 * log_norm_constant(fam, j))
-
-
 def log_norm_constant(fam, j):
     """log of the squared norm N_j = integral of w * p_j**2 over the support.
 
@@ -275,36 +244,11 @@ def log_norm_constant(fam, j):
     return lg if np.ndim(lg) else float(lg)
 
 
-def norm_constant(fam, j: int) -> float:
-    """N_j in linear scale; raises OverflowError once it exceeds double range."""
-    lg = log_norm_constant(fam, j)
-    if lg > _LOG_DBL_MAX:
-        raise OverflowError(
-            f"norm constant overflows double precision at degree {j}; "
-            "use log_norm_constant"
-        )
-    return math.exp(lg)
-
-
-def rodrigues_constants(spec: EnsembleSpec, j: int) -> RodriguesData:
-    """The pair (e_j, Q) with p_j = (e_j w)^{-1} d^j/dy^j (w Q^j).
-
-    On [0,1] the Jacobi constant is j! (the extra 2^j of the [-1,1]
-    convention cancels against the argument substitution); this is the value
-    consistent with p_j = P_j^(a,b)(1-2y) and the norms of this module.
-    """
-    if j < 0:
-        raise ValueError("degree must be >= 0")
-    if spec.kind == GAUSSIAN:
-        return RodriguesData(float((-1) ** j), (1.0, 0.0, 0.0))
-    if spec.kind == LAGUERRE:
-        return RodriguesData(math.factorial(j), (0.0, 1.0, 0.0))
-    return RodriguesData(math.factorial(j), (0.0, 1.0, -1.0))
-
-
 def log_abs_e(kind: str, j):
-    """log |e_j| for the Rodrigues constant of the family; j a degree or an
-    integer array of degrees."""
+    """log |e_j| for j a degree or an integer array of degrees, where
+    p_j = (e_j w)^{-1} d^j/dy^j (w Q^j) with Q = 1, y, y(1-y): e_j = (-1)^j
+    (Gaussian, sign in sign_e), else j!.  On [0, 1] the Jacobi e_j is j!: the
+    2^j of the [-1, 1] convention cancels against the substitution u = 1-2y."""
     if np.ndim(j):
         return gammaln(np.asarray(j, dtype=float) + 1.0) * (kind != GAUSSIAN)
     return 0.0 if kind == GAUSSIAN else math.lgamma(j + 1.0)
@@ -384,12 +328,3 @@ def airy(x: float) -> tuple[float, float]:
         raise ValueError(f"airy argument {x} outside [-50, 50]")
     ai, aip, _, _ = special.airy(x)
     return float(ai), float(aip)
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel J_nu(x) for nu >= 0, x >= 0."""
-    if nu < 0.0:
-        raise ValueError("order nu must be >= 0")
-    if x < 0.0:
-        raise ValueError("argument x must be >= 0")
-    return float(special.jv(nu, x))

@@ -10,7 +10,6 @@ determinants.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "realized_offsets",
     "limit_kernel",
     "convergence_report",
-    "report_to_json",
     "report_to_csv",
 ]
 
@@ -415,10 +413,6 @@ def _limit_entry_raw(q: LimitQuery, a: int, b: int) -> float:
                                 int(q.offsets[b]), q.positions[b])
     sgn = -1.0 if q.ensemble.kind == op.GAUSSIAN else 1.0
     return extended_airy(sgn * q.offsets[a], q.positions[a], sgn * q.offsets[b], q.positions[b])
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
 
 
 def report_to_csv(report: dict) -> str:

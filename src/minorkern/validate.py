@@ -8,9 +8,8 @@ empirical_density and compare link Monte Carlo output to predicted densities.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,11 +54,6 @@ class ComparisonReport:
     seed: int
     passed: bool
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["pass"] = d.pop("passed")
-        return json.dumps(d, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
@@ -67,8 +61,6 @@ class DensityEstimate:
 
     edges: np.ndarray
     density: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
     draws: int
     species: int
 
@@ -268,7 +260,6 @@ def empirical_density(positions, draws: int, species: int, edges) -> DensityEsti
 
     positions holds every species coordinate over all draws; the estimate is
     normalized per draw, so its total mass is the particle count (= species).
-    Per-bin 99% confidence intervals are binomial, normal approximation.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
@@ -277,12 +268,7 @@ def empirical_density(positions, draws: int, species: int, edges) -> DensityEsti
         raise ValueError("no positions for this species")
     edges = np.asarray(edges, dtype=float)
     counts, _ = np.histogram(positions, bins=edges)
-    widths = np.diff(edges)
-    dens = counts / (draws * widths)
-    p = counts / positions.size
-    se_counts = np.sqrt(np.maximum(p * (1 - p), 0.0) * positions.size)
-    half = 2.5758293035489004 * se_counts / (draws * widths)
-    return DensityEstimate(edges, dens, dens - half, dens + half, draws, species)
+    return DensityEstimate(edges, counts / (draws * np.diff(edges)), draws, species)
 
 
 def sidak_z(alpha: float, bins: int) -> float:

@@ -171,7 +171,7 @@ def f_entry_direct(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> flo
     for k in range(1, t + 1):
         e_ratio = math.exp(op.log_abs_e(spec.kind, s - k) - op.log_abs_e(spec.kind, t - k))
         e_ratio *= op.sign_e(spec.kind, s - k) * op.sign_e(spec.kind, t - k)
-        nrm = op.norm_constant(fam_t, t - k)
+        nrm = math.exp(op.log_norm_constant(fam_t, t - k))
         tot += (
             e_ratio
             * op.eval_poly(fam_s, s - k, x)

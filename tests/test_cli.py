@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minorkern import cli, samplers
+from minorkern import cli, samplers, scaling
 from minorkern import orthopoly as op
 from minorkern.cli import RunConfig, main
 
@@ -49,6 +49,21 @@ class TestExitCodes:
         assert run(["validate", "--suite", "sampler-vs-kernel", "--N", "7",
                     "--draws", "10"]) == 2
         assert "N <= 4" in capsys.readouterr().err
+
+    def test_oracle_rejects_large_N(self, capsys):
+        assert run(["validate", "--suite", "oracle", "--N", "4"]) == 2
+        assert "N <= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["biorthogonality", "oracle", "sampler-vs-kernel", "gauge"])
+    def test_suite_rejects_N_below_one(self, suite, capsys):
+        assert run(["validate", "--suite", suite, "--N", "0"]) == 2
+        assert "--N must be >= 1" in capsys.readouterr().err
+
+    def test_limit_kernel_range_is_a_usage_error(self, capsys):
+        # the Airy kernel takes positions in [-20, 20]
+        assert run(["limitcheck", "--regime", "soft", "--ensemble", "gaussian", "--N", "50",
+                    "--offsets", "0", "--positions", "30"]) == 2
+        assert "limited to [-20, 20]" in capsys.readouterr().err
 
 
 class TestDensity:
@@ -157,25 +172,29 @@ class TestSampleFlags:
 
     def test_config_file_defaults_are_not_flags(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(RunConfig(subcommand="sample", process="gue-minor", N=3).to_json())
+        cfg.write_text(config_json(subcommand="sample", process="gue-minor", N=3))
         assert self._csv(tmp_path, ["--config", str(cfg)])[0] == 0
-        cfg.write_text(RunConfig(subcommand="sample", process="gue-minor", N=3, depth=1).to_json())
+        cfg.write_text(config_json(subcommand="sample", process="gue-minor", N=3, depth=1))
         assert self._csv(tmp_path, ["--config", str(cfg)])[0] == 2
+
+
+def config_json(**fields) -> str:
+    """A --config file: every RunConfig field, defaults included."""
+    return json.dumps(dataclasses.asdict(RunConfig(**fields)), sort_keys=True)
 
 
 class TestConfigRoundTrip:
     def test_serialize_parse_idempotent(self, tmp_path):
+        # from_dict reads a config file's JSON lists back as tuples
         cfg = RunConfig(subcommand="density", ensemble="laguerre", a=1.0, N=4,
                         species=(1, 2), grid_min=-1, grid_max=1, grid_step=0.5, seed=3)
-        text = cfg.to_json()
-        again = RunConfig.from_json(text)
+        again = RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
-        assert RunConfig.from_json(again.to_json()) == again
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(RunConfig(subcommand="density", N=1, grid_min=0.0,
-                                     grid_max=0.0, grid_step=1.0, species=(1,)).to_json())
+        cfgfile.write_text(config_json(subcommand="density", N=1, grid_min=0.0,
+                                       grid_max=0.0, grid_step=1.0, species=(1,)))
         out = tmp_path / "o.csv"
         assert run(["density", "--config", str(cfgfile), "--ensemble", "gaussian",
                     "--out", str(out)]) == 0
@@ -253,6 +272,32 @@ class TestSuitesAndReports:
         assert run(["validate", "--suite", "oracle", "--ensemble", "gaussian",
                     "--N", "2"]) == 0
 
+    @pytest.mark.parametrize("suite,default", [
+        ("biorthogonality", 10), ("oracle", 2), ("sampler-vs-kernel", 3), ("gauge", 4)])
+    @pytest.mark.parametrize("given", [None, 1, 3])
+    def test_suite_runs_the_given_N(self, monkeypatch, suite, default, given):
+        # the suite's default applies only when --N is not given
+        seen = []
+
+        class Ran(Exception):
+            pass
+
+        def spec(ensemble, N):
+            seen.append(N)
+            raise Ran
+
+        monkeypatch.setattr(cli, "ProcessSpec", spec)
+        with pytest.raises(Ran):
+            run(["validate", "--suite", suite] + ([] if given is None else ["--N", str(given)]))
+        assert seen == [default if given is None else given]
+
+    def test_sampler_vs_kernel_one_species(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        run(["validate", "--suite", "sampler-vs-kernel", "--ensemble", "gaussian", "--N", "1",
+             "--draws", "200", "--seed", "0", "--out", str(out)])
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]] == [
+            "species 1 sup-norm / per-bin bound"]
+
     def test_lpp_subcommand(self, tmp_path, capsys):
         out = tmp_path / "lpp.json"
         assert run(["lpp", "--n", "3", "--draws", "4000", "--seed", "4",
@@ -268,6 +313,9 @@ class TestSuitesAndReports:
         rep = json.loads(out.read_text())
         assert rep["converged"]
         assert os.path.exists(str(out).replace(".json", ".csv"))
+        expect = scaling.convergence_report("soft", op.EnsembleSpec(op.GAUSSIAN), (25, 50, 100),
+                                            (0.0,), (0.0,))
+        assert out.read_text() == json.dumps(expect, sort_keys=True) + "\n"
 
     def test_limitcheck_subcommand(self, tmp_path, capsys):
         assert run(["limitcheck", "--regime", "hard", "--ensemble", "laguerre",

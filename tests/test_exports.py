@@ -45,3 +45,29 @@ def test_cross_module_names_are_exported(importer):
     missing = sorted({f"{mod}.{name}" for mod, name in _imported_names(MODULES[importer])
                       if name not in _exports(MODULES[mod])})
     assert not missing, f"{importer} takes names its source module does not export: {missing}"
+
+
+def _defined(tree) -> set[str]:
+    """Names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_all_names_are_defined(module):
+    stale = sorted(_exports(MODULES[module]) - _defined(MODULES[module]))
+    assert not stale, f"{module}.__all__ lists names the module does not define: {stale}"
+
+
+def test_package_imports_exist():
+    missing = sorted({f"{mod}.{name}" for mod, name in _imported_names(MODULES["__init__"])
+                      if name not in _defined(MODULES[mod])})
+    assert not missing, f"minorkern/__init__.py imports names that do not exist: {missing}"
