@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import integrate, special
+from scipy.special import gammaln
 
 from . import orthopoly as op
 from .numerics import NEG_INF, NumericError, slog_to_float
@@ -95,8 +96,9 @@ def psi(proc: ProcessSpec, n: int, j: int, x: float) -> float:
     """Psi_j^n(x): weighted function of species n, index j (j may be negative)."""
     if j >= 0:
         signs, logs = _psi_table(proc, n, j, x)
-        return slog_to_float(float(signs[j]), float(logs[j]))
-    return slog_to_float(*_psi_tail_slog(proc, n, j, x))
+    else:
+        signs, logs = _psi_tails(proc, n, -j, x)
+    return slog_to_float(float(signs[-1]), float(logs[-1]))
 
 
 def _psi_table(proc, n, jmax, x):
@@ -111,40 +113,130 @@ def _psi_table(proc, n, jmax, x):
     return (-1.0) ** sig * op.sign_e(kind, sig) * np.sign(eta), np.where(eta == 0.0, NEG_INF, logs)
 
 
-def _psi_tail_slog(proc, n, j, x):
-    """Psi_j^n(x) for j < 0 as (sign, log)."""
+def _psi_tails(proc, n, M, x):
+    """(signs, logs) of Psi_j^n(x) for j = -1..-M: the tail moment of
+    (y-x)^m, m = -j-1, against the shift-(N-n+j) weight."""
     if not 1 <= n <= proc.N:
         raise ValueError(f"species {n} outside [1, {proc.N}]")
     kind, sig = proc.ensemble.kind, proc.N - n
-    # negative index: integral of (y-x)^(-j-1) against the shift-(N-n+j) weight
-    q = sig + j
-    if q < 0:
-        if kind != op.GAUSSIAN:
-            return (0.0, NEG_INF)
-        q = 0  # Gaussian Q == 1, any power collapses
-    m = -j - 1
-    sign = (-1.0) ** ((sig + j) % 2) * op.sign_e(kind, abs(sig + j))
-    lg_int = _log_tail_integral(op.ShiftedFamily(proc.ensemble, q), m, x)
-    if lg_int == NEG_INF:
-        return (0.0, NEG_INF)
-    lg = lg_int - op.log_abs_e(kind, max(sig + j, 0)) - math.lgamma(m + 1.0)
-    return (sign, lg)
+    m = np.arange(M)
+    q = sig - 1 - m
+    if kind == op.GAUSSIAN:
+        # Q == 1, so every shift is the same weight
+        lg = _gauss_tail_moments(M, x)
+    else:
+        lg = np.array([_log_tail_integral(op.ShiftedFamily(proc.ensemble, int(qq)), int(mm), x)
+                       if qq >= 0 else NEG_INF for mm, qq in zip(m, q)])
+    # the sign (-1)^q e_q is +1 for the Gaussian family
+    signs = np.where(lg == NEG_INF, 0.0, 1.0 if kind == op.GAUSSIAN else np.where(q % 2, -1.0, 1.0))
+    return signs, lg - op.log_abs_e(kind, np.maximum(q, 0)) - gammaln(m + 1.0)
+
+
+# the Gaussian tail moments certify this relative accuracy, or raise; the
+# Laguerre sums of positive terms lose no more than their terms' rounding
+TAIL_RTOL = 1e-12
+# a backward continued fraction deeper than this raises NumericError
+CF_MAX_DEPTH = 1 << 16
+
+
+def _gauss_tail_moments(M: int, x: float) -> np.ndarray:
+    """log of integral_x^inf (y-x)^m e^{-y^2} dy for m = 0..M-1.
+
+    This is e^{-x^2} I_m(x), I_m(x) = integral_0^inf u^m e^{-u^2-2xu} du, with
+    I_0 = (sqrt(pi)/2) erfcx(x) and 2 I_{m+1} = m I_{m-1} - 2x I_m.  For
+    x <= 1/2 the recurrence runs forward while its running error bound
+    certifies it; otherwise the ratios I_k/I_{k-1} come from the backward
+    continued fraction (I_m is the minimal solution for x > 0, Gautschi 1977).
+    """
+    if x <= 0.5:
+        out = _gauss_forward(M, x)
+        if out is not None:
+            return out
+    if x <= 0.0:
+        raise NumericError(f"Gaussian tail moments uncertified at M={M}, x={x}")
+    return _gauss_ratios(M, x)
+
+
+def _gauss_forward(M, x):
+    """Forward recurrence on e^{-x^2} I_m, None when its error bound fails.
+
+    B_m runs the same recurrence on |terms|, so it bounds every partial sum;
+    the rounding error of the m-th value stays below about 3 (m+3) eps B_m."""
+    ex = math.exp(-x * x)
+    cur = 0.5 * math.sqrt(math.pi) * special.erfc(x)
+    prev, bprev, bcur = ex, ex, cur  # k I_{k-1} at k = 0 is replaced by e^{-x^2}
+    out = [cur]
+    for k in range(M - 1):
+        prev, cur = cur, 0.5 * ((k * prev if k else ex) - 2.0 * x * cur)
+        bprev, bcur = bcur, 0.5 * ((k * bprev if k else ex) + 2.0 * abs(x) * bcur)
+        if not cur > 0.0 or 3.0 * (k + 4) * np.finfo(float).eps * bcur > TAIL_RTOL * cur:
+            return None
+        out.append(cur)
+    return np.log(out)
+
+
+def _gauss_ratios(M, x):
+    """log e^{-x^2} I_m from I_0 and the ratios r_k = I_k/I_{k-1} = k/(2x + 2 r_{k+1}).
+
+    I_k is log-convex in k, so r_k rises with k and r_K lies in
+    [K/(2x + 2 rho(K+1)), rho(K)], rho(K) the root of 2 rho^2 + 2x rho = K.
+    The map r_{k+1} -> r_k is decreasing, so the two ends stay a bracket all
+    the way down; its width certifies the depth, which doubles until it does.
+    """
+    def rho(k):
+        return 0.5 * (math.sqrt(x * x + 2.0 * k) - x)
+
+    # the bracket shrinks like exp(-2 sqrt(2) x (sqrt(depth) - sqrt(M))): this
+    # start certifies at once for M <= 34 and x >= 1/2
+    depth = max(M + 1, int((math.sqrt(M) + 7.0 / x + 3.0) ** 2))
+    while depth <= CF_MAX_DEPTH:
+        lo, hi = depth / (2.0 * x + 2.0 * rho(depth + 1)), rho(depth)
+        his, los = [], []
+        for k in range(depth - 1, 0, -1):
+            lo, hi = k / (2.0 * x + 2.0 * hi), k / (2.0 * x + 2.0 * lo)
+            if k < M:
+                his.append(hi)
+                los.append(lo)
+        width = math.fsum(map(math.log, his)) - math.fsum(map(math.log, los))
+        if width <= TAIL_RTOL:
+            head = math.log(0.5 * math.sqrt(math.pi) * special.erfcx(x)) - x * x
+            return head + np.concatenate([[0.0], np.cumsum(np.log(his[::-1]))])
+        depth *= 2
+    raise NumericError(f"continued fraction for the Gaussian tail moments did not converge at M={M}, x={x}")
+
+
+def _laguerre_tail_moment(a: float, m: int, x: float) -> float:
+    """log of integral_max(x,0)^inf (y-x)^m y^a e^{-y} dy as a sum of positive
+    terms: for x <= 0, sum_k C(m,k) (-x)^(m-k) Gamma(a+k+1); for x > 0 and an
+    integer a, e^{-x} sum_k C(a,k) x^(a-k) Gamma(m+k+1)."""
+    if x <= 0.0:
+        n, k = m, np.arange(m + 1)
+        logs = special.xlogy(n - k, -x) + gammaln(a + k + 1.0)
+    else:
+        n, k = int(a), np.arange(int(a) + 1)
+        logs = (n - k) * math.log(x) + gammaln(m + k + 1.0) - x
+    logs += gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    top = float(np.max(logs))
+    return top + math.log(math.fsum(np.exp(logs - top)))
 
 
 def _log_tail_integral(fam: op.ShiftedFamily, m: int, x: float) -> float:
-    """log of integral_x^hi (y-x)^m w_fam(y) dy, robust to huge magnitudes."""
+    """log of integral_x^hi (y-x)^m w_fam(y) dy for a Laguerre or Jacobi
+    family, robust to huge magnitudes: in closed form for Laguerre with x <= 0
+    or an integer exponent, otherwise by quad, which raises NumericError past
+    1e-8."""
     lo, hi = fam.support()
     lo = max(lo, x)
     if hi <= lo:
         return NEG_INF
     a_eff, b_eff = fam.params()
+    if fam.kind == op.LAGUERRE and (x <= 0.0 or a_eff == int(a_eff)):
+        return _laguerre_tail_moment(a_eff, m, x)
 
     def logf(u):
         # u = y - lo
         y = lo + u
         t = m * np.log(y - x) if m else 0.0
-        if fam.kind == op.GAUSSIAN:
-            return t - y * y
         if fam.kind == op.LAGUERRE:
             return t + a_eff * np.log(y) - y
         return t + a_eff * np.log(y) + b_eff * np.log1p(-y)
@@ -245,6 +337,10 @@ def _gauge(proc, p1, p2):
 # which then converges geometrically; below it the finite quadrature form is
 # used (the two paths agree in the overlap, see the tests)
 SERIES_SPLIT = 12
+# a series whose terms' absolute sum exceeds |sum| by more than e^10 loses
+# digits to their rounding (1.1e-8 of the entry at e^13.8, while the finite
+# sum kept 6e-15), so it falls back to the finite sum
+SERIES_MAX_CANCEL = 10.0
 
 
 def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
@@ -269,7 +365,7 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
     # -phi + sum over l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2); the Psi
     # with l > s1 are tail integrals, the rest come from one table per point
     psi_s, psi_l = (v[::-1] for v in _psi_table(proc, s1, s1 - 1, y1))
-    tail_s, tail_l = zip(*(_psi_tail_slog(proc, s1, s1 - l, y1) for l in range(s1 + 1, s2 + 1)))
+    tail_s, tail_l = _psi_tails(proc, s1, s2 - s1, y1)
     phi_s, phi_l = (v[::-1] for v in _phi_cap_table(proc, s2, s2 - 1, y2))
     signs = np.concatenate([[-phi_sign], psi_s, tail_s]) * np.concatenate([[1.0], phi_s])
     logs = np.concatenate([[phi_log], psi_l, tail_l]) + np.concatenate([[0.0], phi_l])
@@ -277,21 +373,28 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
 
 
 def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, max_terms: int = 6000):
-    """Bilinear series for s1 < s2; only used when its tail certifies as
-    geometric (returns None otherwise)."""
-    signs, logs = _bilinear(proc, p1, p2, -max_terms, 0)
-    sign, result_log = _slog_sum(signs, logs)
-    if sign == 0.0:
-        return (0.0, NEG_INF)
-    # accept only when the trailing envelope (the highest degrees, first in
-    # k order) sits far below the result, so a flat-tail bound already
-    # certifies the truncation; otherwise fall back
-    block = 48
-    env_last = float(np.max(logs[:block]))
-    env_prev = float(np.max(logs[block: 2 * block]))
-    if env_last > env_prev or env_last > result_log - 30.0:
-        return None
-    return ((-1.0) ** ((p2.s - p1.s - 1) % 2) * sign, _gauge(proc, p1, p2) + result_log)
+    """Bilinear series for s1 < s2, grown in blocks of degrees (each one twice
+    the last, up to max_terms); only used when its tail certifies as
+    geometric and its terms do not cancel badly (returns None otherwise)."""
+    depth, block = min(384, max_terms), 48
+    while True:
+        signs, logs = _bilinear(proc, p1, p2, -depth, 0)
+        sign, result_log = _slog_sum(signs, logs)
+        if sign == 0.0:
+            return (0.0, NEG_INF)
+        # accept when the trailing envelope (the highest degrees, first in k
+        # order) falls and sits far below the result, so a flat-tail bound
+        # already certifies the truncation; fall back once it stops falling
+        env_last = float(np.max(logs[:block]))
+        if env_last > float(np.max(logs[block: 2 * block])):
+            return None
+        if env_last <= result_log - 30.0:
+            if _slog_sum(np.abs(signs), logs)[1] > result_log + SERIES_MAX_CANCEL:
+                return None
+            return ((-1.0) ** ((p2.s - p1.s - 1) % 2) * sign, _gauge(proc, p1, p2) + result_log)
+        if depth == max_terms:
+            return None
+        depth = min(2 * depth, max_terms)
 
 
 def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:
@@ -335,11 +438,20 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
     if not np.isfinite(mat).all():
         return det
     # the zero test compares |det| with Hadamard's bound, which depends on
-    # the gauge; a diagonal similarity that balances the rows against the
-    # columns (Parlett-Reinsch, as LAPACK dgebal) brings that bound near |det|
-    bal = linalg.matrix_balance(mat, permute=False)[0]
-    scale = float(np.prod(np.maximum(np.linalg.norm(bal, axis=1), 1e-300)))
-    if abs(det) < 1e-14 * scale:
+    # the gauge.  Equilibrating the rows and columns of |mat| (Sinkhorn, on
+    # the squares after scaling every row and column maximum to 1) gives a
+    # matrix that no diagonal similarity changes, with bound 1 once its rows
+    # are normalized last; the test reads |det| times the scalings
+    a = np.abs(mat)
+    rmax = a.max(axis=1, keepdims=True)
+    cmax = (a / rmax).max(axis=0)
+    sq = (a / rmax / cmax) ** 2
+    v = np.ones(r)
+    for _ in range(50):
+        v = 1.0 / ((1.0 / (sq @ v)) @ sq)
+    u = 1.0 / (sq @ v)
+    log_scale = 0.5 * np.sum(np.log(u)) + 0.5 * np.sum(np.log(v)) - np.sum(np.log(rmax)) - np.sum(np.log(cmax))
+    if det == 0.0 or math.log(abs(det)) + float(log_scale) < math.log(1e-14):
         return 0.0
     return det
 

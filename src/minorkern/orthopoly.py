@@ -119,8 +119,15 @@ def log_weight(fam, x):
     support; at an endpoint a factor with exponent 0 gives 0, any other +-inf."""
     fam = _as_family(fam)
     a, b = fam.params()
-    x = np.asarray(x, dtype=float)
     lo, hi = fam.support()
+    if isinstance(x, float):
+        # the same operations on Python floats, without numpy's per-call cost
+        if x < lo or x > hi or x == math.inf:
+            return -math.inf
+        if fam.kind == GAUSSIAN:
+            return float(-x * x)
+        return float(_xlogy(a, x) + (-x if fam.kind == LAGUERRE else _xlogy(b, 1.0 - x)))
+    x = np.asarray(x, dtype=float)
     with np.errstate(invalid="ignore"):  # log(x < 0) and inf - inf, both masked
         if fam.kind == GAUSSIAN:
             lw = -x * x
@@ -128,6 +135,13 @@ def log_weight(fam, x):
             lw = special.xlogy(a, x) + (-x if fam.kind == LAGUERRE else special.xlogy(b, 1.0 - x))
         lw = np.where((x < lo) | (x > hi) | (x == math.inf), -math.inf, lw)
     return lw if lw.ndim else float(lw)
+
+
+def _xlogy(a: float, x: float) -> float:
+    """special.xlogy on floats: 0 for a == 0 unless x is NaN, where x >= 0."""
+    if a == 0.0 and x == x:
+        return 0.0
+    return a * (math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan)
 
 
 def _coeffs(fam, kmax: int):

@@ -26,7 +26,8 @@ def kappa_tail(spec, shift, u):
         return 0.5 * special.erfc(u)
     if spec.kind == op.LAGUERRE:
         return special.gammaincc(a + 1.0, np.maximum(u, 0.0))
-    return 1.0 - special.betainc(a + 1.0, b + 1.0, np.clip(u, 0.0, 1.0))
+    # the complement I_{1-u}(b+1, a+1), not 1 - I_u(a+1, b+1), which cancels near u = 1
+    return special.betainc(b + 1.0, a + 1.0, np.clip(1.0 - u, 0.0, 1.0))
 
 
 class PanelGrid:

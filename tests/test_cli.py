@@ -246,6 +246,13 @@ class TestSuitesAndReports:
         # these seeds draw determinants far below their entries' scale
         assert run(["validate", "--suite", "gauge", "--seed", seed]) == 0
 
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_gauge_suite_laguerre_rows_of_unequal_size(self, seed, capsys):
+        # one point far out in species 1 makes a gauged row of size 1e-19;
+        # the zero test must not read such a resolved determinant as 0
+        assert run(["validate", "--suite", "gauge", "--ensemble", "laguerre", "--a", "1",
+                    "--N", "4", "--seed", seed]) == 0
+
     def test_gauge_suite_rejects_non_gauge_change(self, monkeypatch, capsys):
         # K(s,.;t,.) c(s) c(t) is no gauge change: it scales each determinant
         # by the product of c(s)^2 over its points

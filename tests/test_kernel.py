@@ -239,6 +239,14 @@ class TestCorrelation:
         assert got != 0.0
         assert got == float(np.linalg.det(mat))
 
+    def test_zero_test_with_a_row_of_size_1e_19(self):
+        # in the K gauge the rows are of size 1e-1, 1e-3 and 1e-19 and the
+        # determinant is 1.1e-30, yet it is resolved in every gauge
+        proc = ProcessSpec(LAG, 4)
+        pts = [SpeciesPoint(3, 13.77), SpeciesPoint(3, 19.61), SpeciesPoint(1, 60.57)]
+        mat = np.array([[kernel_F(proc, a, b) for b in pts] for a in pts])
+        assert correlation(proc, pts) == float(np.linalg.det(mat)) != 0.0
+
     def test_two_points_in_species_one_vanish(self):
         # species 1 holds one particle
         proc = ProcessSpec(GAUSS, 5)

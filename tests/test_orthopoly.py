@@ -65,6 +65,19 @@ class TestWeight:
             assert w.tobytes() == np.array([op.eval_weight(fam(spec, shift), float(x)) for x in xs]).tobytes()
         assert isinstance(op.log_weight(fam(spec, shift), 0.5), float)
 
+    @pytest.mark.parametrize("spec", [GAUSS, LAG1, op.EnsembleSpec(op.LAGUERRE, a=-0.5), JAC,
+                                      op.EnsembleSpec(op.JACOBI, a=-0.5, b=0.0)],
+                             ids=["gauss", "lag1", "lag-neg", "jac", "jac-neg"])
+    def test_float_path_is_the_array_path(self, spec, monkeypatch):
+        # a Python float runs without numpy and gives the array path's float bit for bit
+        xs = [0.0, 1.0, -1e-300, 1e-300, 0.37, 0.999, -2.0, 1.0 + 1e-15, 7.5, math.inf, -math.inf]
+        for shift in (0, 1):
+            ref = op.log_weight(fam(spec, shift), np.array(xs)).tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(op.np, "asarray", None)
+                got = [op.log_weight(fam(spec, shift), x) for x in xs]
+            assert np.array(got).tobytes() == ref
+
     @pytest.mark.parametrize("spec,x,expect", [
         (LAG0, 0.0, 0.0), (LAG1, 0.0, -math.inf), (op.EnsembleSpec(op.LAGUERRE, a=-0.5), 0.0, math.inf),
         (JAC, 1.0, -math.inf), (op.EnsembleSpec(op.JACOBI, a=0.5, b=-0.5), 1.0, math.inf),
