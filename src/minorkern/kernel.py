@@ -45,8 +45,8 @@ class ProcessSpec:
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
-    def family(self, s: int) -> op.ShiftedFamily:
-        """Shifted family attached to species s (shift N - s)."""
+    def family(self, s: int) -> op.EnsembleSpec:
+        """Family of species s: the ensemble with its exponents raised by N - s."""
         if not 1 <= s <= self.N:
             raise ValueError(f"species {s} outside [1, {self.N}]")
         return op.ShiftedFamily(self.ensemble, self.N - s)
@@ -220,7 +220,7 @@ def _laguerre_tail_moment(a: float, m: int, x: float) -> float:
     return top + math.log(math.fsum(np.exp(logs - top)))
 
 
-def _log_tail_integral(fam: op.ShiftedFamily, m: int, x: float) -> float:
+def _log_tail_integral(fam: op.EnsembleSpec, m: int, x: float) -> float:
     """log of integral_x^hi (y-x)^m w_fam(y) dy for a Laguerre or Jacobi
     family, robust to huge magnitudes: in closed form for Laguerre with x <= 0
     or an integer exponent, otherwise by quad, which raises NumericError past
@@ -341,6 +341,8 @@ SERIES_SPLIT = 12
 # digits to their rounding (1.1e-8 of the entry at e^13.8, while the finite
 # sum kept 6e-15), so it falls back to the finite sum
 SERIES_MAX_CANCEL = 10.0
+# the deepest degree the series grows to before it falls back
+SERIES_MAX_DEPTH = 6000
 
 
 def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
@@ -372,11 +374,11 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
     return _slog_sum(signs, logs)
 
 
-def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, max_terms: int = 6000):
+def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
     """Bilinear series for s1 < s2, grown in blocks of degrees (each one twice
-    the last, up to max_terms); only used when its tail certifies as
+    the last, up to SERIES_MAX_DEPTH); only used when its tail certifies as
     geometric and its terms do not cancel badly (returns None otherwise)."""
-    depth, block = min(384, max_terms), 48
+    depth, block = 384, 48
     while True:
         signs, logs = _bilinear(proc, p1, p2, -depth, 0)
         sign, result_log = _slog_sum(signs, logs)
@@ -392,9 +394,9 @@ def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, max_term
             if _slog_sum(np.abs(signs), logs)[1] > result_log + SERIES_MAX_CANCEL:
                 return None
             return ((-1.0) ** ((p2.s - p1.s - 1) % 2) * sign, _gauge(proc, p1, p2) + result_log)
-        if depth == max_terms:
+        if depth == SERIES_MAX_DEPTH:
             return None
-        depth = min(2 * depth, max_terms)
+        depth = min(2 * depth, SERIES_MAX_DEPTH)
 
 
 def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:

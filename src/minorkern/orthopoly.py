@@ -1,8 +1,8 @@
 """Classical weights, their orthogonal polynomials, and special functions.
 
 Covers the Gaussian, Laguerre and Jacobi families in the normalizations
-H_j(x), L_j^(a)(x) and P_j^(a,b)(1-2x), plus parameter-shifted variants,
-squared-norm constants, the orthonormal functions eta_k, and the Airy
+H_j(x), L_j^(a)(x) and P_j^(a,b)(1-2x), for any exponents (so shifted families
+too), squared-norm constants, the orthonormal functions eta_k, and the Airy
 evaluation needed by the scaling kernels.
 """
 
@@ -65,6 +65,12 @@ class EnsembleSpec:
         if self.kind == JACOBI and self.b < -1.0 + PARAM_FLOOR:
             raise ValueError(f"exponent b={self.b} must be >= -1 + {PARAM_FLOOR}")
 
+    def params(self) -> tuple[float, float]:
+        """The exponents (a, b); (0, 0) for the Gaussian family."""
+        if self.kind == GAUSSIAN:
+            return (0.0, 0.0)
+        return (self.a, self.b)
+
     def support(self) -> tuple[float, float]:
         if self.kind == GAUSSIAN:
             return (-math.inf, math.inf)
@@ -73,51 +79,28 @@ class EnsembleSpec:
         return (0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ShiftedFamily:
-    """A classical family with its exponents shifted by a nonnegative integer.
+def ShiftedFamily(base: EnsembleSpec, shift: int = 0) -> EnsembleSpec:
+    """The classical family with its exponents raised by a nonnegative integer.
 
     Shift s sends a -> a+s (Laguerre), and a -> a+s, b -> b+s (Jacobi); it has
     no effect on the Gaussian family.  Shift 0 is the base family.
     """
-
-    base: EnsembleSpec
-    shift: int = 0
-
-    def __post_init__(self):
-        if self.shift < 0 or self.shift != int(self.shift):
-            raise ValueError(f"shift must be a nonnegative integer, got {self.shift}")
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
-
-    def params(self) -> tuple[float, float]:
-        """Effective (a, b) after the shift."""
-        if self.base.kind == GAUSSIAN:
-            return (0.0, 0.0)
-        return (self.base.a + self.shift, self.base.b + self.shift)
-
-    def support(self) -> tuple[float, float]:
-        return self.base.support()
+    if shift < 0 or shift != int(shift):
+        raise ValueError(f"shift must be a nonnegative integer, got {shift}")
+    if shift == 0 or base.kind == GAUSSIAN:
+        return base
+    return EnsembleSpec(base.kind, base.a + shift, base.b + shift)
 
 
-def _as_family(fam) -> ShiftedFamily:
-    if isinstance(fam, EnsembleSpec):
-        return ShiftedFamily(fam, 0)
-    return fam
-
-
-def eval_weight(fam, x):
+def eval_weight(fam: EnsembleSpec, x):
     """Weight w(x) = exp(log_weight(fam, x)); exactly 0 outside the support."""
     w = np.exp(log_weight(fam, x))
     return w if np.ndim(w) else float(w)
 
 
-def log_weight(fam, x):
+def log_weight(fam: EnsembleSpec, x):
     """log w(x) at a float or an array of points, with -inf outside the
     support; at an endpoint a factor with exponent 0 gives 0, any other +-inf."""
-    fam = _as_family(fam)
     a, b = fam.params()
     lo, hi = fam.support()
     if isinstance(x, float):
@@ -144,7 +127,7 @@ def _xlogy(a: float, x: float) -> float:
     return a * (math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan)
 
 
-def _coeffs(fam, kmax: int):
+def _coeffs(fam: EnsembleSpec, kmax: int):
     """Arrays (A, B, C), k = 0..kmax-1, of p_{k+1} = (A_k x + B_k) p_k - C_k p_{k-1}.
 
     C_0 = 0, so the recurrence starts from p_0 = 1 alone.
@@ -226,20 +209,19 @@ def _exp_or_zero(offset, val):
         return np.where((val == 0.0) | (lg < -745.0) | (offset == -np.inf), 0.0, np.sign(val) * np.exp(lg))
 
 
-def eval_poly(fam, j: int, x):
+def eval_poly(fam: EnsembleSpec, j: int, x):
     """p_j(x) by three-term recurrence: H_j, L_j^(a) or P_j^(a,b)(1-2x)."""
-    rows = _recurrence(_coeffs(_as_family(fam), j), np.asarray(x, dtype=float), 0.0)
+    rows = _recurrence(_coeffs(fam, j), np.asarray(x, dtype=float), 0.0)
     u, offset = collections.deque(rows, maxlen=1).pop()
     val = u * np.exp(offset)
     return val if np.ndim(val) else float(val)
 
 
-def log_norm_constant(fam, j):
+def log_norm_constant(fam: EnsembleSpec, j):
     """log of the squared norm N_j = integral of w * p_j**2 over the support.
 
     j is a degree or an integer array of degrees; a degree gives a float.
     """
-    fam = _as_family(fam)
     j = np.asarray(j, dtype=float)
     if (j < 0.0).any():
         raise ValueError("degree must be >= 0")
@@ -272,7 +254,7 @@ def sign_e(kind: str, j: int) -> float:
     return -1.0 if (kind == GAUSSIAN and j % 2) else 1.0
 
 
-def _normalized_rows(fam, kmax: int, x, offset):
+def _normalized_rows(fam: EnsembleSpec, kmax: int, x, offset):
     """_recurrence rows for k = 0..kmax, run on p_k / sqrt(N_k) from
     exp(offset) / sqrt(N_0), so no norm constant is ever formed in linear scale."""
     A, B, C = _coeffs(fam, kmax)
@@ -283,25 +265,24 @@ def _normalized_rows(fam, kmax: int, x, offset):
     return _recurrence((A * r1, B * r1, C), x, offset - 0.5 * logn[0])
 
 
-def log_poly_table(fam, kmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+def log_poly_table(fam: EnsembleSpec, kmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """(sign, log(|p_k(x)| / sqrt(N_k))) for k = 0..kmax.
 
     No weight enters, so every entry is finite at any finite x, inside the
     support or outside it; sign 0 (log -inf) marks an exact zero.
     """
-    t = np.fromiter(_normalized_rows(_as_family(fam), kmax, float(x), 0.0), dtype=_ROW, count=kmax + 1)
+    t = np.fromiter(_normalized_rows(fam, kmax, float(x), 0.0), dtype=_ROW, count=kmax + 1)
     with np.errstate(divide="ignore"):
         return np.sign(t["u"]), t["offset"] + np.log(np.abs(t["u"]))
 
 
-def eta_table(fam, kmax: int, x) -> np.ndarray:
+def eta_table(fam: EnsembleSpec, kmax: int, x) -> np.ndarray:
     """All eta_k(x) = sqrt(w(x)/N_k) p_k(x) for k = 0..kmax.
 
     The normalized recurrence starts from the offset log sqrt(w(x)), so
     entries deep in the weight's tail come out right while those below
     double range emerge as 0.  Returns an array of shape (kmax+1,) + shape(x).
     """
-    fam = _as_family(fam)
     x = np.asarray(x, dtype=float)
     rows = _normalized_rows(fam, kmax, x, 0.5 * log_weight(fam, x))
     # a scalar's column is converted in one numpy call; an array's rows are
@@ -315,16 +296,17 @@ def eta_table(fam, kmax: int, x) -> np.ndarray:
     return out
 
 
-def eval_eta(fam, k: int, x):
+def eval_eta(fam: EnsembleSpec, k: int, x):
     """Orthonormal function eta_k(x) = sqrt(w(x)/N_k) p_k(x)."""
     val = eta_table(fam, k, x)[k]
     return val if val.ndim else float(val)
-def gauss_weight_nodes(fam, m: int) -> tuple[np.ndarray, np.ndarray]:
+
+
+def gauss_weight_nodes(fam: EnsembleSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes/weights for the family's weight on its natural support.
 
     Exact for polynomial integrands of degree <= 2m-1 against w(x)dx.
     """
-    fam = _as_family(fam)
     a, b = fam.params()
     if fam.kind == GAUSSIAN:
         x, w = special.roots_hermite(m)

@@ -154,11 +154,16 @@ def sample_lattice(cfg: LatticeConfig, seed: int, draw: int = 0) -> np.ndarray:
 def sample_lattice_batch(cfg: LatticeConfig, draws: int, seed: int, start: int = 0) -> np.ndarray:
     """Grids (draws, n1, n2 + p) of draws start, ..., start + draws - 1, one
     generator call per draw on its own stream."""
-    geometric = isinstance(cfg.model, Geometric)
-    param = 1.0 - cfg._sites if geometric else 1.0 / cfg._sites
-    out = np.empty((draws,) + param.shape)
-    for gen, grid in zip(draw_streams(seed, start, draws), out):
-        grid[...] = gen.geometric(param) - 1 if geometric else gen.exponential(param)
+    out = np.empty((draws,) + cfg._sites.shape)
+    streams = zip(draw_streams(seed, start, draws), out)
+    if isinstance(cfg.model, Geometric):
+        param = 1.0 - cfg._sites
+        for gen, grid in streams:
+            grid[...] = gen.geometric(param) - 1
+        return out
+    for gen, grid in streams:
+        gen.standard_exponential(out=grid)
+    out *= 1.0 / cfg._sites  # numpy's exponential(1 / rate) on the same variates
     return out
 
 
@@ -415,10 +420,8 @@ def lpp_eigenvalue_bridge_test(n: int, draws: int, seed: int, *, scale: float = 
     """
     if n > 20:
         raise ValueError("bridge test limited to n <= 20")
-    grids = np.empty((draws, n, n))
-    for gen, grid in zip(draw_streams(seed, 0, draws), grids):
-        gen.standard_exponential(out=grid)
-    grids *= scale  # numpy's exponential(scale) on the same variates
+    grids = sample_lattice_batch(LatticeConfig(n, n, 0, ExponentialHomogeneous()), draws, seed)
+    grids *= scale
     lpp = last_passage_batch(grids)
     lam = sample_lue_batch(n, n, draws, seed + 1)[n][:, -1]
     stat, crit = ks_two_sample(lpp, lam)

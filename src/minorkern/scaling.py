@@ -44,6 +44,13 @@ BULK = "bulk"
 HARD_EDGE = "hard"
 SOFT_DRIFT = "soft-drift"
 REGIMES = (SOFT_FIXED, BULK, HARD_EDGE, SOFT_DRIFT)
+# the families whose finite-N process each regime's scaling map is set up for
+REGIME_FAMILIES = {
+    SOFT_FIXED: (op.GAUSSIAN, op.LAGUERRE),
+    BULK: (op.GAUSSIAN,),
+    HARD_EDGE: (op.LAGUERRE,),
+    SOFT_DRIFT: (op.GAUSSIAN, op.LAGUERRE),
+}
 
 
 @dataclass(frozen=True)
@@ -65,12 +72,9 @@ class LimitQuery:
             raise ValueError(f"unknown regime {self.regime!r}")
         if len(self.offsets) != len(self.positions):
             raise ValueError("offsets and positions must pair up")
-        if self.regime in (SOFT_FIXED, BULK) and self.ensemble.kind == op.JACOBI:
-            raise ValueError("soft/bulk scalings are set up for gaussian and laguerre")
-        if self.regime == HARD_EDGE and self.ensemble.kind != op.LAGUERRE:
-            raise ValueError("hard-edge scaling is set up for the laguerre family")
-        if self.regime == BULK and self.ensemble.kind != op.GAUSSIAN:
-            raise ValueError("bulk scaling is set up for the gaussian family")
+        if self.ensemble.kind not in REGIME_FAMILIES[self.regime]:
+            raise ValueError(f"{self.regime} scaling is set up for "
+                             f"{' and '.join(REGIME_FAMILIES[self.regime])}, not {self.ensemble.kind}")
 
 
 def airy_kernel(x: float, y: float) -> float:
@@ -288,7 +292,7 @@ def _resolve(q: LimitQuery):
         for c, Y in pairs:
             s = int(round(N + 2.0 * c * N ** (2.0 / 3.0)))
             pts.append((s, math.sqrt(2.0 * s) + Y / (math.sqrt(2.0) * s ** (1.0 / 6.0))))
-    elif kind == op.LAGUERRE:
+    else:  # SOFT_DRIFT, laguerre: LimitQuery admits no other family
         pts = []
         for c, Y in pairs:
             s = int(round(N - 2.0 * c * (2.0 * N) ** (2.0 / 3.0)))
@@ -297,8 +301,6 @@ def _resolve(q: LimitQuery):
             # form only matches to within O(1) of the fluctuation scale
             a_eff = q.ensemble.a + N - s
             pts.append((s, (math.sqrt(s) + math.sqrt(s + a_eff)) ** 2 + scale * Y))
-    else:
-        raise ValueError("soft drift needs the gaussian or laguerre family")
     for s, _ in pts:
         if not 1 <= s <= N:
             raise ValueError(f"mapped species {s} lands outside [1, {N}]")
@@ -352,12 +354,9 @@ def limit_kernel(q: LimitQuery, j: int, k: int) -> float:
 
 
 def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
-                       positions, *, pairs=None, mode: str = "entry") -> dict:
-    """Tabulate |scaled finite-N value - limit| across N with an order estimate.
-
-    mode "entry" compares gauge-free kernel entries at the given index pairs;
-    mode "det2" compares the 2x2 determinant built from the first two points.
-    """
+                       positions, *, pairs=None) -> dict:
+    """Tabulate |scaled finite-N value - limit| across N with an order estimate,
+    comparing gauge-free kernel entries at the given index pairs."""
     n_list = list(n_list)
     if len(n_list) < 3:
         raise ValueError("need at least 3 values of N")
@@ -368,15 +367,9 @@ def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
     rows = []
     for N in n_list:
         q = LimitQuery(regime, ensemble, N, offsets, positions)
-        if mode == "det2":
-            fin = _det2(lambda a, b: scaled_finite_kernel(q, a, b))
-            lim = _det2(lambda a, b: _limit_entry_raw(q, a, b))
-            errs = [abs(fin - lim)]
-            vals, lims = [fin], [lim]
-        else:
-            vals = [scaled_finite_kernel(q, a, b) for a, b in pairs]
-            lims = [limit_kernel(q, a, b) for a, b in pairs]
-            errs = [abs(v - l) for v, l in zip(vals, lims)]
+        vals = [scaled_finite_kernel(q, a, b) for a, b in pairs]
+        lims = [limit_kernel(q, a, b) for a, b in pairs]
+        errs = [abs(v - l) for v, l in zip(vals, lims)]
         rows.append({"N": N, "values": vals, "limits": lims, "max_error": max(errs)})
     errors = [r["max_error"] for r in rows]
     orders = [math.log(e0 / e1) / math.log(n1 / n0)
@@ -389,16 +382,12 @@ def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
         "N_list": n_list,
         "offsets": list(offsets),
         "positions": list(positions),
-        "mode": mode,
+        "mode": "entry",
         "rows": rows,
         "errors": errors,
         "order_estimate": (sum(orders) / len(orders)) if orders else None,
         "converged": all(a > b for a, b in zip(errors, errors[1:])),
     }
-
-
-def _det2(entry) -> float:
-    return entry(0, 0) * entry(1, 1) - entry(0, 1) * entry(1, 0)
 
 
 def _limit_entry_raw(q: LimitQuery, a: int, b: int) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import orthopoly as op
 from .kernel import ProcessSpec, SpeciesPoint
@@ -275,7 +275,7 @@ def sidak_z(alpha: float, bins: int) -> float:
     """Two-sided normal quantile that holds the family-wise false-alarm rate
     at alpha over `bins` independent bins (Sidak correction)."""
     per_bin = -math.expm1(math.log1p(-alpha) / bins)
-    return float(stats.norm.isf(0.5 * per_bin))
+    return float(-special.ndtri(0.5 * per_bin))
 
 
 def sup_norm_bound(predicted, widths, draws: int, *,
@@ -328,17 +328,23 @@ def compare(predicted, estimate: DensityEstimate, test: str, *,
         keep = exp_counts >= 5.0
         stat = float(np.sum((obs_counts[keep] - exp_counts[keep]) ** 2 / exp_counts[keep]))
         dof = max(int(np.sum(keep)) - 1, 1)
-        thr = float(stats.chi2.ppf(0.99, dof)) if threshold is None else threshold
+        thr = float(2.0 * special.gammaincinv(dof / 2.0, 0.99)) if threshold is None else threshold
     else:
         raise ValueError(f"unknown test {test!r}")
     return ComparisonReport(test, stat, thr, estimate.draws, seed, stat < thr)
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sample KS statistic and its asymptotic 1% critical value."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    stat = float(stats.ks_2samp(a, b, method="asymp").statistic)
+    """Two-sample KS statistic, the largest gap between the two empirical
+    CDFs, and its asymptotic 1% critical value."""
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
     m, n = len(a), len(b)
+    if not (m and n and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("KS needs two nonempty samples of finite values")
+    # the gap can only peak at a sample point, where both ECDFs are right-continuous
+    both = np.concatenate([a, b])
+    stat = float(np.max(np.abs(np.searchsorted(a, both, side="right") / m
+                               - np.searchsorted(b, both, side="right") / n)))
     crit = KS_COEFF_1PCT * math.sqrt((m + n) / (m * n))
     return stat, crit

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -357,3 +359,13 @@ def test_readme_command_parses(argv):
 
 def test_readme_shows_every_subcommand():
     assert sorted(argv[0] for argv in _readme_commands()) == sorted(cli._COMMANDS)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.4 s and 20 MB of start-up, and no command needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, minorkern.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

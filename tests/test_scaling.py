@@ -276,6 +276,11 @@ class TestScaledFinite:
         with pytest.raises(ValueError):
             LimitQuery(BULK, LAG0, 50, (0,), (0.0,))
 
+    def test_soft_drift_rejects_jacobi(self):
+        # the drift map is set up for the gaussian and laguerre chains only
+        with pytest.raises(ValueError, match="soft-drift"):
+            LimitQuery(SOFT_DRIFT, op.EnsembleSpec(op.JACOBI, 0.5, 1.0), 50, (0.0, 0.5), (0.0, 0.3))
+
     def test_realized_offsets_roundtrip(self):
         q = LimitQuery(SOFT_DRIFT, LAG0, 200, (0.0, 0.5), (0.0, 0.3))
         rc = realized_offsets(q)

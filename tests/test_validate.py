@@ -178,3 +178,9 @@ class TestKsTwoSample:
         rng = np.random.default_rng(4)
         stat, crit = ks_two_sample(rng.normal(0, 1, 20000), rng.normal(0.2, 1, 20000))
         assert stat > crit
+
+    @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0, 2.0], []),
+                                      ([0.5, np.nan], [1.0]), ([1.0], [2.0, -np.inf])])
+    def test_empty_or_non_finite_sample_raises(self, a, b):
+        with pytest.raises(ValueError):
+            ks_two_sample(a, b)
