@@ -465,12 +465,16 @@ def main(argv=None) -> int:
         ap.print_usage()
         return USAGE_ERROR
     try:
-        cfg = _merge_config(args)
+        try:
+            cfg = _merge_config(args)
+        except OverflowError as e:
+            raise UsageError(str(e)) from e
         return _COMMANDS[cfg.subcommand][0](cfg)
-    except (UsageError, ValueError, OverflowError) as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except NumericError as e:
+    except (NumericError, OverflowError) as e:
+        # a double that overflows in a command's numerics is a numeric failure
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return NUMERIC_ERROR
 

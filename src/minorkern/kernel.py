@@ -124,6 +124,11 @@ def _psi_tails(proc, n, M, x):
     if kind == op.GAUSSIAN:
         # Q == 1, so every shift is the same weight
         lg = _gauss_tail_moments(M, x)
+    elif kind == op.JACOBI:
+        lg = np.full(M, NEG_INF)
+        ok = q >= 0
+        a, b = proc.ensemble.params()
+        lg[ok] = _jacobi_tail_moments(a + q[ok], b + q[ok], m[ok], x)
     else:
         lg = np.array([_log_tail_integral(op.ShiftedFamily(proc.ensemble, int(qq)), int(mm), x)
                        if qq >= 0 else NEG_INF for mm, qq in zip(m, q)])
@@ -132,8 +137,9 @@ def _psi_tails(proc, n, M, x):
     return signs, lg - op.log_abs_e(kind, np.maximum(q, 0)) - gammaln(m + 1.0)
 
 
-# the Gaussian tail moments certify this relative accuracy, or raise; the
-# Laguerre sums of positive terms lose no more than their terms' rounding
+# the Gaussian tail moments and the Jacobi difference route certify this
+# relative accuracy, or raise; the Laguerre and Jacobi sums of positive terms
+# lose no more than their terms' rounding
 TAIL_RTOL = 1e-12
 # a backward continued fraction deeper than this raises NumericError
 CF_MAX_DEPTH = 1 << 16
@@ -220,37 +226,156 @@ def _laguerre_tail_moment(a: float, m: int, x: float) -> float:
     return top + math.log(math.fsum(np.exp(logs - top)))
 
 
+# a Jacobi series grows in blocks of HYP_BLOCK terms, each continuing from the
+# last, and gives up past HYP_MAX_TERMS; one estimated longer than HYP_LONG
+# (x near 0) first tries the difference route, which costs a few blocks
+HYP_BLOCK = 64
+HYP_LONG = 2048
+HYP_MAX_TERMS = 1 << 16
+LOG_EPS = math.log(np.finfo(float).eps)
+# each term of the difference route carries the rounding of logs up to a few
+# hundred in size, about 1e3 eps of the term; cancellation multiplies it
+DIFF_TERM_RTOL = 1e3 * np.finfo(float).eps
+
+
+def _jacobi_tail_moments(a, b, m, x: float) -> np.ndarray:
+    """log of integral_x^1 (y-x)^m y^a (1-y)^b dy over arrays a, b, m of one length.
+
+    For 0 < x < 1, Euler's integral and Pfaff's transformation (DLMF 15.6.1,
+    15.8.1) give (1-x)^(m+b+1) x^(m+a+1) B(m+1, b+1) 2F1(m+a+b+2, m+1; m+b+2; 1-x),
+    whose terms are all positive (_pfaff_series).  Near x = 0 that series
+    needs about (m+a)/x terms, so rows estimated past HYP_LONG first take the
+    full moment minus (-1)^m times the lower moment, which is the mirror series
+    (a <-> b, x <-> 1-x) with ratio tending to x; that difference is kept
+    where its cancellation certifies TAIL_RTOL.  A row neither route
+    certifies raises NumericError.  For x <= 0 the binomial sum has positive
+    terms.
+    """
+    a, b, m = (np.asarray(v, dtype=float) for v in (a, b, m))
+    if x >= 1.0:
+        return np.full(m.shape, NEG_INF)
+    if x <= 0.0:
+        return _row_slog(*_jacobi_binomial(a, b, m, x))[1]
+    out = np.full(m.shape, np.nan)
+    long = _pfaff_terms_needed(a, b, m, x) > HYP_LONG
+    if long.any():
+        out[long] = _jacobi_difference(a[long], b[long], m[long], x)
+    rest = np.isnan(out)
+    if rest.any():
+        out[rest] = _pfaff_series(a[rest], b[rest], m[rest], math.log(x), math.log1p(-x))
+    if np.isnan(out).any():
+        raise NumericError(f"Jacobi tail moments uncertified at x={x}: the series needs more than "
+                           f"{HYP_MAX_TERMS} terms and the difference route cancels")
+    return out
+
+
+def _pfaff_terms_needed(a, b, m, x):
+    """About how many terms _pfaff_series sums at x: they rise while their
+    ratio r_k (see there) exceeds 1, up to the larger root k* of
+    x k^2 - p k - q = 0, and then fall no faster than w^k, w = 1 - x."""
+    A, B, C, w = m + a + b + 2.0, m + 1.0, m + b + 2.0, 1.0 - x
+    p, q = w * (A + B) - C - 1.0, w * A * B - C
+    disc = p * p + 4.0 * x * q
+    peak = (p + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * x)
+    return np.where(disc > 0.0, np.maximum(peak, 0.0), 0.0) + LOG_EPS / math.log1p(-x)
+
+
+def _pfaff_series(a, b, m, lx, lw):
+    """log of (1-x)^(m+b+1) x^(m+a+1) B(m+1, b+1) 2F1(A, B; C; w) by rows, with
+    A = m+a+b+2, B = m+1, C = m+b+2, w = 1 - x, lx = log x and lw = log w;
+    NaN on rows whose tail has not certified within HYP_MAX_TERMS terms.
+
+    The term ratios are r_k = w (A+k)(B+k)/((C+k)(k+1)) = w (1 + (beta + d k)/((C+k)(k+1))),
+    beta = AB - C = m (m+a+b+2) + a and d = m + a, so for k >= K they stay
+    below R_K = w (1 + beta+/((C+K)(K+1)) + d+/(C+K)), whether they fall to w
+    or, when d < 0, rise to it.  Once R_K < 1 the terms after t_K sum to at
+    most t_K R_K / (1 - R_K); a row is done when that is below eps of its sum.
+    The sum peaks near k = d w / x, so a relative error in w comes out about
+    that many times larger: lx and lw come in exact, and log t_K carries a
+    Kahan correction for the one rounding each block adds to it.
+    """
+    C = (m + b + 2.0)[:, None]
+    beta, d = (m * (m + a + b + 2.0) + a)[:, None], (m + a)[:, None]
+    w = math.exp(lw)
+    lt, err = np.zeros((len(m), 1)), np.zeros((len(m), 1))  # log t_K = lt + err, t_0 = 1
+    top, acc = np.zeros(len(m)), np.ones(len(m))
+    done = np.zeros(len(m), dtype=bool)
+    for k0 in range(0, HYP_MAX_TERMS, HYP_BLOCK):
+        k = np.arange(k0, k0 + HYP_BLOCK, dtype=float)
+        steps = np.cumsum(np.log1p((beta + d * k) / ((C + k) * (k + 1.0))) + lw, axis=1)
+        logs = steps + lt  # log t_{k0+1} .. t_{k0+HYP_BLOCK}
+        y = steps[:, -1:] + err
+        new = lt + y
+        err, lt = y - (new - lt), new
+        new_top = np.maximum(top, logs.max(axis=1))
+        acc = acc * np.exp(top - new_top) + np.exp(logs - new_top[:, None]).sum(axis=1)
+        top = new_top
+        K = k0 + HYP_BLOCK
+        R = w * (1.0 + np.maximum(beta, 0.0) / ((C + K) * (K + 1.0)) + np.maximum(d, 0.0) / (C + K))[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            done |= lt[:, 0] + np.log(R) - np.log1p(-R) <= top + np.log(acc) + LOG_EPS
+        if done.all():
+            break
+    out = (m + b + 1.0) * lw + (m + a + 1.0) * lx + special.betaln(m + 1.0, b + 1.0) + top + np.log(acc)
+    return np.where(done, out, np.nan)
+
+
+def _jacobi_binomial(a, b, m, x):
+    """(signs, logs) by rows of the terms C(m,k) (-x)^(m-k) B(a+k+1, b+1),
+    k = 0..m, of the full moment integral_0^1 (y-x)^m y^a (1-y)^b dy; all
+    positive for x <= 0."""
+    k = np.arange(int(m.max(initial=0)) + 1)[None, :]
+    mm = m[:, None]
+    inside = k <= mm
+    n = np.where(inside, mm - k, 0.0)
+    logs = (gammaln(mm + 1.0) - gammaln(k + 1.0) - gammaln(n + 1.0) + special.xlogy(n, abs(x))
+            + special.betaln(a[:, None] + k + 1.0, b[:, None] + 1.0))
+    signs = np.where(n % 2, -1.0, 1.0) if x > 0.0 else np.ones_like(logs)
+    return np.where(inside, signs, 0.0), np.where(inside, logs, NEG_INF)
+
+
+def _jacobi_difference(a, b, m, x):
+    """log of the upper moment as the full moment minus (-1)^m times the lower
+    moment integral_0^x (x-y)^m y^a (1-y)^b dy, for rows with 0 < x < 1; NaN
+    on rows whose cancellation leaves it short of TAIL_RTOL."""
+    low = _pfaff_series(b, a, m, math.log1p(-x), math.log(x))
+    signs, logs = _jacobi_binomial(a, b, m, x)
+    sign, lg, abs_lg = _row_slog(np.column_stack([signs, (-1.0) ** (m + 1.0)]),
+                                 np.column_stack([logs, low]))
+    return np.where((sign > 0.0) & (abs_lg - lg <= math.log(TAIL_RTOL / DIFF_TERM_RTOL)), lg, np.nan)
+
+
+def _row_slog(signs, logs):
+    """(sign, log |sum|, log sum |term|) of each row of signed log terms."""
+    top = logs.max(axis=1, keepdims=True)
+    e = np.exp(logs - top)
+    tot = np.sum(signs * e, axis=1)
+    with np.errstate(divide="ignore"):
+        return np.sign(tot), top[:, 0] + np.log(np.abs(tot)), top[:, 0] + np.log(np.sum(e, axis=1))
+
+
 def _log_tail_integral(fam: op.EnsembleSpec, m: int, x: float) -> float:
-    """log of integral_x^hi (y-x)^m w_fam(y) dy for a Laguerre or Jacobi
-    family, robust to huge magnitudes: in closed form for Laguerre with x <= 0
-    or an integer exponent, otherwise by quad, which raises NumericError past
-    1e-8."""
-    lo, hi = fam.support()
-    lo = max(lo, x)
-    if hi <= lo:
+    """log of integral_x^inf (y-x)^m w_fam(y) dy for a Laguerre family, robust
+    to huge magnitudes: in closed form for x <= 0 or an integer exponent,
+    otherwise by quad, which raises NumericError past 1e-8.  (The Jacobi
+    moments are series, _jacobi_tail_moments.)"""
+    if x == math.inf:
         return NEG_INF
-    a_eff, b_eff = fam.params()
-    if fam.kind == op.LAGUERRE and (x <= 0.0 or a_eff == int(a_eff)):
-        return _laguerre_tail_moment(a_eff, m, x)
+    a = fam.a
+    if x <= 0.0 or a == int(a):
+        return _laguerre_tail_moment(a, m, x)
 
     def logf(u):
-        # u = y - lo
-        y = lo + u
+        # u = y - x
+        y = x + u
         t = m * np.log(y - x) if m else 0.0
-        if fam.kind == op.LAGUERRE:
-            return t + a_eff * np.log(y) - y
-        return t + a_eff * np.log(y) + b_eff * np.log1p(-y)
+        return t + a * np.log(y) - y
 
-    if math.isinf(hi):
-        # locate the mode of the log-integrand on a log-spaced grid
-        grid = np.concatenate([[1e-12], np.geomspace(1e-6, 1e4, 400)])
-    else:
-        width = hi - lo
-        grid = width * np.concatenate([[1e-14], np.geomspace(1e-7, 1.0, 400)[:-1], [1.0 - 1e-14]])
+    # locate the mode of the log-integrand on a log-spaced grid
+    grid = np.concatenate([[1e-12], np.geomspace(1e-6, 1e4, 400)])
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = logf(grid)
-    vals = np.where(np.isnan(vals), -np.inf, vals)
-    mx = float(np.max(vals))
+    mx = float(np.max(np.where(np.isnan(vals), -np.inf, vals)))
     if mx == -math.inf:
         return NEG_INF
 
@@ -259,19 +384,7 @@ def _log_tail_integral(fam: op.EnsembleSpec, m: int, x: float) -> float:
             lf = logf(np.asarray(u, dtype=float))
         return np.exp(np.where(np.isnan(lf), -np.inf, lf) - mx)
 
-    def quad(g, a, b):
-        return integrate.quad(g, a, b, epsabs=1e-300, epsrel=1e-11, limit=300)
-
-    if math.isinf(hi):
-        val, err = quad(f, 0.0, np.inf)
-    elif fam.kind == op.JACOBI and (a_eff < 0.0 or b_eff < 0.0):
-        # integrable endpoint singularities: split and substitute u = v^2
-        mid = 0.5 * (hi - lo)
-        v1, e1 = quad(lambda v: 2.0 * v * f(v * v), 0.0, math.sqrt(mid))
-        v2, e2 = quad(lambda v: 2.0 * v * f(hi - lo - v * v), 0.0, math.sqrt(hi - lo - mid))
-        val, err = v1 + v2, e1 + e2
-    else:
-        val, err = quad(f, 0.0, hi - lo)
+    val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=300)
     if val <= 0.0:
         return NEG_INF
     if err > 1e-8 * val:

@@ -67,6 +67,13 @@ class TestExitCodes:
                     "--offsets", "0", "--positions", "30"]) == 2
         assert "limited to [-20, 20]" in capsys.readouterr().err
 
+    def test_overflow_in_the_numerics_is_a_numeric_error(self, capsys):
+        # an entry between distant species leaves double range in the
+        # sqrt-weight gauge here; that is not the user's input at fault
+        assert run(["limitcheck", "--regime", "soft-drift", "--ensemble", "laguerre", "--a", "0",
+                    "--N", "1600", "--offsets", "0", "0.5", "--positions", "0", "0.3"]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+
 
 class TestDensity:
     def test_single_value(self, tmp_path, capsys):

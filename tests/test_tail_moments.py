@@ -1,6 +1,8 @@
 """Tail moments integral_x (y-x)^m w(y) dy of the near-up kernel entries:
-closed forms for the Gaussian and integer-exponent Laguerre weights, quad
-elsewhere, and the accuracy of a cancelling near-up entry."""
+closed forms for the Gaussian and integer-exponent Laguerre weights, a
+positive hypergeometric series for the Jacobi weights, quad for Laguerre with
+a non-integer exponent at x > 0, and the accuracy of a cancelling near-up
+entry."""
 
 import math
 
@@ -11,7 +13,7 @@ from scipy import integrate
 
 import minorkern.kernel as kernel_mod
 from minorkern import orthopoly as op
-from minorkern.kernel import ProcessSpec, SpeciesPoint, kernel_F, psi
+from minorkern.kernel import ProcessSpec, SpeciesPoint, correlation, kernel_F, kernel_K, psi
 from minorkern.numerics import NumericError
 from oracles import f_entry_series
 
@@ -96,8 +98,7 @@ def test_near_up_entries_run_no_quad(monkeypatch, spec, pos):
 
 @pytest.mark.parametrize("spec,pts", [
     (op.EnsembleSpec(op.LAGUERRE, a=-0.5), [(2, 1.3, 6, 2.0), (1, 0.6, 5, 4.1)]),
-    (op.EnsembleSpec(op.JACOBI, a=0.5, b=1.0), [(2, 0.3, 6, 0.5), (1, 0.7, 5, 0.2)]),
-], ids=["lag-half", "jac"])
+], ids=["lag-half"])
 def test_other_weights_keep_quad(monkeypatch, spec, pts):
     calls = []
     quad = integrate.quad
@@ -112,6 +113,75 @@ def test_other_weights_keep_quad(monkeypatch, spec, pts):
         p1, p2 = SpeciesPoint(s1, y1), SpeciesPoint(s2, y2)
         assert kernel_F(proc, p1, p2) == pytest.approx(f_entry_series(proc, p1, p2), rel=1e-8, abs=1e-11)
     assert calls
+
+
+JAC = op.EnsembleSpec(op.JACOBI, a=0.5, b=1.0)
+
+
+def test_jacobi_entries_run_no_quad(monkeypatch):
+    proc = ProcessSpec(JAC, 8)
+    pairs = [(SpeciesPoint(s1, y1), SpeciesPoint(s2, y2)) for s1, y1, s2, y2 in [(2, 0.3, 6, 0.5), (1, 0.7, 5, 0.2)]]
+    refs = [f_entry_series(proc, p1, p2) for p1, p2 in pairs]
+    p1, p2 = pairs[0]
+    det = (f_entry_series(proc, p1, p1) * f_entry_series(proc, p2, p2)
+           - refs[0] * f_entry_series(proc, p2, p1))
+    _forbid_quad(monkeypatch)
+    for (p1, p2), ref in zip(pairs, refs):
+        assert kernel_F(proc, p1, p2) == pytest.approx(ref, rel=1e-8, abs=1e-11)
+    assert math.isfinite(kernel_K(proc, *pairs[0]).value)
+    assert correlation(proc, list(pairs[0])) == pytest.approx(det, rel=1e-8)
+    assert math.isfinite(psi(proc, 3, -5, 0.3))
+    # the top species has no tail moment (every shift is negative)
+    assert psi(proc, 8, -2, 0.0) == 0.0
+
+
+def jacobi_moment_mp(a, b, m, x):
+    """log of integral_x^1 (y-x)^m y^a (1-y)^b dy from mpmath's hyp2f1: the
+    Euler-Pfaff form in 1-x for 0 < x < 1, and for x < 0 the terminating
+    (-x)^m B(a+1, b+1) 2F1(-m, a+1; a+b+2; 1/x)."""
+    with mpmath.workdps(40):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        if x >= 1:
+            return -math.inf
+        if x == 0:
+            return float(mpmath.log(mpmath.beta(a + m + 1, b + 1)))
+        if x < 0:
+            return float(m * mpmath.log(-x) + mpmath.log(mpmath.beta(a + 1, b + 1))
+                         + mpmath.log(mpmath.hyp2f1(-m, a + 1, a + b + 2, 1 / x)))
+        return float((m + b + 1) * mpmath.log(1 - x) + (m + a + 1) * mpmath.log(x)
+                     + mpmath.log(mpmath.beta(m + 1, b + 1))
+                     + mpmath.log(mpmath.hyp2f1(m + a + b + 2, m + 1, m + b + 2, 1 - x)))
+
+
+@pytest.mark.parametrize("base", [(0.5, 1.0), (-0.5, -0.3)], ids=["half-one", "neg"])
+@pytest.mark.parametrize("x", [-0.7, 0.0, 1e-8, 1e-3, 0.03, 0.3, 0.5, 0.9, 1 - 1e-9, 1.0, 1.2])
+def test_jacobi_moments_match_mpmath(base, x):
+    # shifts 0..60 and m up to 33 on one call, as a near-up entry asks for them.
+    # x = 1e-8 and 1e-3 take the difference route; at x = 0.03 it cancels on
+    # 7 rows, which then take the long series; shift 0 of the second base has
+    # term ratios that rise to 1 - x
+    q = np.array([0, 1, 7, 30, 60] * 5)
+    m = np.repeat([0, 1, 5, 17, 33], 5)
+    got = kernel_mod._jacobi_tail_moments(base[0] + q, base[1] + q, m, x)
+    for qq, mm, g in zip(q, m, got):
+        ref = jacobi_moment_mp(base[0] + qq, base[1] + qq, mm, x)
+        assert g == ref or abs(g - ref) < 1e-11, (qq, mm)
+
+
+def test_jacobi_series_past_its_cap_raises(monkeypatch):
+    # at x = 1/2 the difference route cancels by about e^60 for m = 33
+    monkeypatch.setattr(kernel_mod, "HYP_MAX_TERMS", 64)
+    with pytest.raises(NumericError, match="Jacobi tail moments"):
+        kernel_mod._jacobi_tail_moments(np.array([20.5]), np.array([21.0]), np.array([33]), 0.5)
+
+
+def test_jacobi_near_up_entries_of_one_row_run_no_quad(monkeypatch):
+    # the eleven near-up entries of the timing in CHANGES.md (N=50, s1=30,
+    # gaps 1-11); only their path is held here, not their time
+    _forbid_quad(monkeypatch)
+    proc = ProcessSpec(JAC, 50)
+    vals = [kernel_F(proc, SpeciesPoint(30, 0.4), SpeciesPoint(30 + g, 0.55)) for g in range(1, 12)]
+    assert all(math.isfinite(v) for v in vals) and all(vals)
 
 
 def up_entry_mp(spec, N, s1, y1, s2, y2):
