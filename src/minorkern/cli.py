@@ -84,7 +84,10 @@ def _fmt(v: float) -> str:
 def _grid(cfg: RunConfig) -> np.ndarray:
     if cfg.grid_step <= 0:
         raise ValueError("grid step must be positive")
-    n = int(round((cfg.grid_max - cfg.grid_min) / cfg.grid_step)) + 1
+    span = (cfg.grid_max - cfg.grid_min) / cfg.grid_step
+    if not math.isfinite(span):
+        raise ValueError("grid bounds and step must be finite, with a finite number of points")
+    n = int(round(span)) + 1
     return cfg.grid_min + cfg.grid_step * np.arange(max(n, 1))
 
 

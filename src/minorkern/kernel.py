@@ -227,10 +227,8 @@ def _laguerre_tail_moment(a: float, m: int, x: float) -> float:
 
 
 # a Jacobi series grows in blocks of HYP_BLOCK terms, each continuing from the
-# last, and gives up past HYP_MAX_TERMS; one estimated longer than HYP_LONG
-# (x near 0) first tries the difference route, which costs a few blocks
+# last, and gives up past HYP_MAX_TERMS
 HYP_BLOCK = 64
-HYP_LONG = 2048
 HYP_MAX_TERMS = 1 << 16
 LOG_EPS = math.log(np.finfo(float).eps)
 # each term of the difference route carries the rounding of logs up to a few
@@ -244,7 +242,7 @@ def _jacobi_tail_moments(a, b, m, x: float) -> np.ndarray:
     For 0 < x < 1, Euler's integral and Pfaff's transformation (DLMF 15.6.1,
     15.8.1) give (1-x)^(m+b+1) x^(m+a+1) B(m+1, b+1) 2F1(m+a+b+2, m+1; m+b+2; 1-x),
     whose terms are all positive (_pfaff_series).  Near x = 0 that series
-    needs about (m+a)/x terms, so rows estimated past HYP_LONG first take the
+    needs about (m+a)/x terms, so rows it leaves past HYP_MAX_TERMS take the
     full moment minus (-1)^m times the lower moment, which is the mirror series
     (a <-> b, x <-> 1-x) with ratio tending to x; that difference is kept
     where its cancellation certifies TAIL_RTOL.  A row neither route
@@ -255,29 +253,15 @@ def _jacobi_tail_moments(a, b, m, x: float) -> np.ndarray:
     if x >= 1.0:
         return np.full(m.shape, NEG_INF)
     if x <= 0.0:
-        return _row_slog(*_jacobi_binomial(a, b, m, x))[1]
-    out = np.full(m.shape, np.nan)
-    long = _pfaff_terms_needed(a, b, m, x) > HYP_LONG
-    if long.any():
-        out[long] = _jacobi_difference(a[long], b[long], m[long], x)
-    rest = np.isnan(out)
-    if rest.any():
-        out[rest] = _pfaff_series(a[rest], b[rest], m[rest], math.log(x), math.log1p(-x))
+        return np.array([_slog_sum(*row)[1] for row in zip(*_jacobi_binomial(a, b, m, x))])
+    out = _pfaff_series(a, b, m, math.log(x), math.log1p(-x))
+    short = np.isnan(out)
+    if short.any():
+        out[short] = _jacobi_difference(a[short], b[short], m[short], x)
     if np.isnan(out).any():
         raise NumericError(f"Jacobi tail moments uncertified at x={x}: the series needs more than "
                            f"{HYP_MAX_TERMS} terms and the difference route cancels")
     return out
-
-
-def _pfaff_terms_needed(a, b, m, x):
-    """About how many terms _pfaff_series sums at x: they rise while their
-    ratio r_k (see there) exceeds 1, up to the larger root k* of
-    x k^2 - p k - q = 0, and then fall no faster than w^k, w = 1 - x."""
-    A, B, C, w = m + a + b + 2.0, m + 1.0, m + b + 2.0, 1.0 - x
-    p, q = w * (A + B) - C - 1.0, w * A * B - C
-    disc = p * p + 4.0 * x * q
-    peak = (p + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * x)
-    return np.where(disc > 0.0, np.maximum(peak, 0.0), 0.0) + LOG_EPS / math.log1p(-x)
 
 
 def _pfaff_series(a, b, m, lx, lw):
@@ -340,18 +324,14 @@ def _jacobi_difference(a, b, m, x):
     on rows whose cancellation leaves it short of TAIL_RTOL."""
     low = _pfaff_series(b, a, m, math.log1p(-x), math.log(x))
     signs, logs = _jacobi_binomial(a, b, m, x)
-    sign, lg, abs_lg = _row_slog(np.column_stack([signs, (-1.0) ** (m + 1.0)]),
-                                 np.column_stack([logs, low]))
-    return np.where((sign > 0.0) & (abs_lg - lg <= math.log(TAIL_RTOL / DIFF_TERM_RTOL)), lg, np.nan)
-
-
-def _row_slog(signs, logs):
-    """(sign, log |sum|, log sum |term|) of each row of signed log terms."""
-    top = logs.max(axis=1, keepdims=True)
-    e = np.exp(logs - top)
-    tot = np.sum(signs * e, axis=1)
-    with np.errstate(divide="ignore"):
-        return np.sign(tot), top[:, 0] + np.log(np.abs(tot)), top[:, 0] + np.log(np.sum(e, axis=1))
+    signs = np.column_stack([signs, (-1.0) ** (m + 1.0)])
+    logs = np.column_stack([logs, low])
+    out = np.full(m.shape, np.nan)
+    for i, (s, lg) in enumerate(zip(signs, logs)):
+        sign, val = _slog_sum(s, lg)
+        if sign > 0.0 and _slog_sum(np.abs(s), lg)[1] - val <= math.log(TAIL_RTOL / DIFF_TERM_RTOL):
+            out[i] = val
+    return out
 
 
 def _log_tail_integral(fam: op.EnsembleSpec, m: int, x: float) -> float:

@@ -37,6 +37,11 @@ class TestExitCodes:
         assert run(["density", "--N", "1", "--grid", "0:0:3"]) == 2
         assert "grid step must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0:1:inf", "0:1e-320:1", "nan:1:2"])
+    def test_grid_without_finite_points(self, grid, capsys):
+        assert run(["density", "--N", "1", "--grid", grid]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_invalid_parameters(self, capsys):
         assert run(["density", "--N", "1", "--ensemble", "laguerre", "--a", "-2",
                     "--grid", "0:1:1"]) == 2

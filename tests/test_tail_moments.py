@@ -157,9 +157,10 @@ def jacobi_moment_mp(a, b, m, x):
 @pytest.mark.parametrize("x", [-0.7, 0.0, 1e-8, 1e-3, 0.03, 0.3, 0.5, 0.9, 1 - 1e-9, 1.0, 1.2])
 def test_jacobi_moments_match_mpmath(base, x):
     # shifts 0..60 and m up to 33 on one call, as a near-up entry asks for them.
-    # x = 1e-8 and 1e-3 take the difference route; at x = 0.03 it cancels on
-    # 7 rows, which then take the long series; shift 0 of the second base has
-    # term ratios that rise to 1 - x
+    # at x = 1e-8 every row passes the series' term cap and takes the
+    # difference route, at x = 1e-3 17 of the 25 rows do, and at x = 0.03 the
+    # series certifies each row; shift 0 of the second base has term ratios
+    # that rise to 1 - x
     q = np.array([0, 1, 7, 30, 60] * 5)
     m = np.repeat([0, 1, 5, 17, 33], 5)
     got = kernel_mod._jacobi_tail_moments(base[0] + q, base[1] + q, m, x)
