@@ -10,6 +10,7 @@ double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,9 +72,22 @@ class KernelValue:
     value: float
 
 
-def _log_gamma_vec(spec: op.EnsembleSpec, shift: int, degs: np.ndarray) -> np.ndarray:
-    """log |gamma_j| over an integer array of degrees."""
-    return op.log_abs_e(spec.kind, degs) + 0.5 * op.log_norm_constant(op.ShiftedFamily(spec, shift), degs)
+class _Tables:
+    """The tables of the points of one kernel matrix, each built once: a
+    point's eta table (rebuilt only to reach a higher degree; a longer table
+    starts with the same bits), its Psi and Phi tables to degree s-1, and its
+    tail moments per species gap."""
+
+    def __init__(self, proc: ProcessSpec):
+        self.proc, self.etas = proc, {}
+        self.psi = functools.cache(lambda p: _psi_table(proc, p.s, p.y, self.eta(p, p.s - 1)[:p.s]))
+        self.phi_cap = functools.cache(lambda p: _phi_cap_table(proc, p.s, p.s - 1, p.y))
+        self.tails = functools.cache(lambda p, M: _psi_tails(proc, p.s, M, p.y))
+
+    def eta(self, p, kmax):
+        if len(self.etas.get(p, ())) <= kmax:
+            self.etas[p] = op.eta_table(self.proc.family(p.s), kmax, p.y)
+        return self.etas[p]
 
 
 def phi_conv(n1: int, n2: int, x: float, y: float) -> float:
@@ -95,20 +109,19 @@ def _phi_conv_slog(n1, n2, x, y):
 def psi(proc: ProcessSpec, n: int, j: int, x: float) -> float:
     """Psi_j^n(x): weighted function of species n, index j (j may be negative)."""
     if j >= 0:
-        signs, logs = _psi_table(proc, n, j, x)
+        signs, logs = _psi_table(proc, n, x, op.eta_table(proc.family(n), j, x))
     else:
         signs, logs = _psi_tails(proc, n, -j, x)
     return slog_to_float(float(signs[-1]), float(logs[-1]))
 
 
-def _psi_table(proc, n, jmax, x):
-    """(signs, logs) of Psi_j^n(x) for j = 0..jmax, from one eta table."""
-    fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
-    eta = op.eta_table(fam, jmax, x)
-    j = np.arange(jmax + 1)
+def _psi_table(proc, n, x, eta):
+    """(signs, logs) of Psi_j^n(x) for j = 0..len(eta)-1, from the eta table."""
+    fam, sig, kind, jmax = proc.family(n), proc.N - n, proc.ensemble.kind, len(eta) - 1
+    _, logn, loge = op.family_constants(fam, sig + jmax)
     with np.errstate(divide="ignore"):
-        logs = (op.log_abs_e(kind, j) - op.log_abs_e(kind, sig + j)
-                + 0.5 * (op.log_weight(fam, x) + op.log_norm_constant(fam, j)) + np.log(np.abs(eta)))
+        logs = (loge[:jmax + 1] - loge[sig:sig + jmax + 1]
+                + 0.5 * (op.log_weight(fam, x) + logn[:jmax + 1]) + np.log(np.abs(eta)))
     # e_j / e_{sig+j} has the sign of e_sig
     return (-1.0) ** sig * op.sign_e(kind, sig) * np.sign(eta), np.where(eta == 0.0, NEG_INF, logs)
 
@@ -387,8 +400,8 @@ def _phi_cap_table(proc, n, jmax, x):
     finite outside the support too."""
     fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
     sign, lg = op.log_poly_table(fam, jmax, x)
-    j = np.arange(jmax + 1)
-    logs = op.log_abs_e(kind, sig + j) - op.log_abs_e(kind, j) - 0.5 * op.log_norm_constant(fam, j) + lg
+    _, logn, loge = op.family_constants(fam, sig + jmax)
+    logs = loge[sig:sig + jmax + 1] - loge[:jmax + 1] - 0.5 * logn[:jmax + 1] + lg
     return (-1.0) ** sig * op.sign_e(kind, sig) * sign, logs
 
 
@@ -404,16 +417,18 @@ def _slog_sum(signs, logs):
     return (math.copysign(1.0, tot), m + math.log(abs(tot)))
 
 
-def _bilinear(proc, p1, p2, k_lo, k_hi):
+def _bilinear(tables, p1, p2, k_lo, k_hi):
     """(signs, logs) of gamma_{s1-k}/gamma_{s2-k} eta_{s1-k}(y1) eta_{s2-k}(y2)
     for k = k_lo..k_hi, with gamma_j = e_j sqrt(N_j), from one eta table per
     point.  The terms are products of eta floats, so a cancelling sum keeps
     its accuracy relative to the terms' size."""
-    s1, s2, spec = p1.s, p2.s, proc.ensemble
+    proc, s1, s2 = tables.proc, p1.s, p2.s
+    spec = proc.ensemble
     k = np.arange(k_lo, k_hi + 1)
-    prod = (op.eta_table(proc.family(s1), s1 - k_lo, p1.y)[s1 - k]
-            * op.eta_table(proc.family(s2), s2 - k_lo, p2.y)[s2 - k])
-    lg = _log_gamma_vec(spec, proc.N - s1, s1 - k) - _log_gamma_vec(spec, proc.N - s2, s2 - k)
+    prod = tables.eta(p1, s1 - k_lo)[s1 - k] * tables.eta(p2, s2 - k_lo)[s2 - k]
+    # log |gamma_j| = log |e_j| + log N_j / 2
+    (_, n1, e1), (_, n2, e2) = (op.family_constants(proc.family(s), s - k_lo) for s in (s1, s2))
+    lg = (e1[s1 - k] + 0.5 * n1[s1 - k]) - (e2[s2 - k] + 0.5 * n2[s2 - k])
     with np.errstate(divide="ignore"):
         logs = np.where(prod != 0.0, lg + np.log(np.abs(prod)), NEG_INF)
     # gamma_j has the sign of e_j, (-1)^j for the Gaussian family
@@ -438,17 +453,18 @@ SERIES_MAX_CANCEL = 10.0
 SERIES_MAX_DEPTH = 6000
 
 
-def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
-    """K(s1,y1;s2,y2) as (sign, log)."""
+def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, tables=None):
+    """K(s1,y1;s2,y2) as (sign, log), from the points' tables (new ones by default)."""
+    tables = _Tables(proc) if tables is None else tables
     s1, y1 = p1.s, p1.y
     s2, y2 = p2.s, p2.y
     if s1 >= s2:
-        sign, lg = _slog_sum(*_bilinear(proc, p1, p2, 1, s2))
+        sign, lg = _slog_sum(*_bilinear(tables, p1, p2, 1, s2))
         if sign == 0.0:
             return (0.0, NEG_INF)
         return ((-1.0) ** (s1 - s2) * sign, _gauge(proc, p1, p2) + lg)
     if s2 - s1 >= SERIES_SPLIT:
-        val = _series_slog(proc, p1, p2)
+        val = _series_slog(proc, p1, p2, tables)
         if val is not None:
             return val
     if s2 == s1 + 1 and y2 == y1:
@@ -459,21 +475,22 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
         phi_sign, phi_log = _phi_conv_slog(s1, s2, y1, y2)
     # -phi + sum over l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2); the Psi
     # with l > s1 are tail integrals, the rest come from one table per point
-    psi_s, psi_l = (v[::-1] for v in _psi_table(proc, s1, s1 - 1, y1))
-    tail_s, tail_l = _psi_tails(proc, s1, s2 - s1, y1)
-    phi_s, phi_l = (v[::-1] for v in _phi_cap_table(proc, s2, s2 - 1, y2))
+    psi_s, psi_l = (v[::-1] for v in tables.psi(p1))
+    tail_s, tail_l = tables.tails(p1, s2 - s1)
+    phi_s, phi_l = (v[::-1] for v in tables.phi_cap(p2))
     signs = np.concatenate([[-phi_sign], psi_s, tail_s]) * np.concatenate([[1.0], phi_s])
     logs = np.concatenate([[phi_log], psi_l, tail_l]) + np.concatenate([[0.0], phi_l])
     return _slog_sum(signs, logs)
 
 
-def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint):
+def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, tables=None):
     """Bilinear series for s1 < s2, grown in blocks of degrees (each one twice
     the last, up to SERIES_MAX_DEPTH); only used when its tail certifies as
     geometric and its terms do not cancel badly (returns None otherwise)."""
+    tables = _Tables(proc) if tables is None else tables
     depth, block = 384, 48
     while True:
-        signs, logs = _bilinear(proc, p1, p2, -depth, 0)
+        signs, logs = _bilinear(tables, p1, p2, -depth, 0)
         sign, result_log = _slog_sum(signs, logs)
         if sign == 0.0:
             return (0.0, NEG_INF)
@@ -504,9 +521,14 @@ def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:
 def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
     """Kernel in the symmetric sqrt-weight gauge; same determinants as kernel_K."""
     _check_weights(proc, p1, p2)
+    return _entry_F(_Tables(proc), p1, p2)
+
+
+def _entry_F(tables, p1, p2):
+    proc = tables.proc
     if p1.s >= p2.s:
-        return slog_to_float(*_slog_sum(*_bilinear(proc, p1, p2, 1, p2.s)))
-    sign, lg = _kernel_slog(proc, p1, p2)
+        return slog_to_float(*_slog_sum(*_bilinear(tables, p1, p2, 1, p2.s)))
+    sign, lg = _kernel_slog(proc, p1, p2, tables)
     if sign == 0.0:
         return 0.0
     return slog_to_float((-1.0) ** (p2.s - p1.s) * sign, lg - _gauge(proc, p1, p2))
@@ -526,7 +548,10 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
         raise ValueError("need 1 <= r <= 12 points")
     if len({(p.s, p.y) for p in points}) != r:
         raise ValueError("duplicate (species, position) pairs are not allowed")
-    mat = np.array([[kernel_F(proc, pi, pj) for pj in points] for pi in points])
+    _check_weights(proc, *points)
+    # every entry reads its points' tables, which are built once
+    tables = _Tables(proc)
+    mat = np.array([[_entry_F(tables, pi, pj) for pj in points] for pi in points])
     if not (mat.any(axis=0).all() and mat.any(axis=1).all()):
         return 0.0  # a point where its species' weight vanishes zeroes its row or column
     det = float(np.linalg.det(mat))

@@ -9,7 +9,9 @@ evaluation needed by the scaling kernels.
 from __future__ import annotations
 
 import collections
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "eval_eta",
     "eta_table",
     "log_poly_table",
+    "family_constants",
     "gauss_weight_nodes",
     "airy",
 ]
@@ -154,51 +157,49 @@ def _coeffs(fam: EnsembleSpec, kmax: int):
 
 
 def _recurrence(coeffs, x, offset):
-    """Yield (u_k, offset_k) for k = 0..len(A), where exp(offset_k) u_k is the
-    k-th term of t_{k+1} = (A_k x + B_k) t_k - C_k t_{k-1} from t_0 = exp(offset);
-    u_0 = 1, or 0 where exp(offset) is.  There x is taken as 0: every u_k
-    stays 0 for any finite x, and an infinite x would give inf * 0 = NaN.
+    """Yield (u_k, offset_k) for k = 0..len(A) over an array x, where
+    exp(offset_k) u_k is the k-th term of t_{k+1} = (A_k x + B_k) t_k - C_k t_{k-1}
+    from t_0 = exp(offset); u_0 = 1, or 0 where exp(offset) is.  There x is
+    taken as 0: every u_k stays 0 for any finite x, and an infinite x would
+    give inf * 0 = NaN.
 
     Whenever max(|u_k|, |u_{k-1}|) leaves [1e-250, 1e250] the pair is divided
     by it and its log moves into the offset, so no term over- or underflows.
-    Scalar x runs on Python floats, array x on numpy rows; both round alike.
+    _float_rows runs the same steps on Python floats.
     """
-    if np.ndim(x) == 0:
-        x, offset, rescale = float(x), float(offset), _rescale_float
-        u = 0.0 if offset == -math.inf else 1.0
-        x = x if u else 0.0
-    else:
-        u, rescale = np.where(offset == -np.inf, 0.0, np.ones_like(x)), _rescale_rows
-        x = np.where(u == 0.0, 0.0, x)
+    u = np.where(offset == -np.inf, 0.0, np.ones_like(x))
+    x = np.where(u == 0.0, 0.0, x)
     u_prev = 0.0
     yield u, offset
     # a memoryview iterates as Python floats, without a list of them
     for a, b, c in zip(*map(memoryview, coeffs)):
         u_prev, u = u, (a * x + b) * u - c * u_prev
-        u, u_prev, offset = rescale(u, u_prev, offset)
+        mag = np.maximum(np.abs(u), np.abs(u_prev))
+        fix = (mag > 1e250) | ((mag < 1e-250) & (mag != 0.0))
+        if fix.any():
+            mag = np.where(fix, mag, 1.0)
+            u, u_prev, offset = u / mag, u_prev / mag, offset + np.log(mag)
         yield u, offset
 
 
-def _rescale_float(u, u_prev, offset):
-    if 1e-250 <= abs(u) <= 1e250:
-        return u, u_prev, offset  # |u_prev| <= 1e250 since the step before, so mag is in range
-    mag = max(abs(u), abs(u_prev))
-    if mag > 1e250 or (mag < 1e-250 and mag != 0.0):
-        return u / mag, u_prev / mag, offset + float(np.log(mag))
-    return u, u_prev, offset
-
-
-def _rescale_rows(u, u_prev, offset):
-    mag = np.maximum(np.abs(u), np.abs(u_prev))
-    fix = (mag > 1e250) | ((mag < 1e-250) & (mag != 0.0))
-    if fix.any():
-        mag = np.where(fix, mag, 1.0)
-        return u / mag, u_prev / mag, offset + np.log(mag)
-    return u, u_prev, offset
-
-
-# a recurrence row at scalar x as one record
-_ROW = [("u", float), ("offset", float)]
+def _float_rows(coeffs, x: float, offset: float):
+    """(u_k, offset_k) of _recurrence at one float x, by the same operations on
+    Python floats, so with the same bits; offset_k is one float until a rescale."""
+    offset = float(offset)
+    u, u_prev = (0.0 if offset == -math.inf else 1.0), 0.0
+    x = x if u else 0.0
+    us, offsets, starts = array("d", [u]), [offset], [0]
+    for a, b, c in zip(*map(memoryview, coeffs)):
+        u_prev, u = u, (a * x + b) * u - c * u_prev
+        # |u_prev| <= 1e250 since the step before, so the pair is in range while |u| is
+        if not 1e-250 <= abs(u) <= 1e250:
+            mag = max(abs(u), abs(u_prev))
+            if mag > 1e250 or (mag < 1e-250 and mag != 0.0):
+                u, u_prev, offset = u / mag, u_prev / mag, offset + float(np.log(mag))
+                offsets.append(offset)
+                starts.append(len(us))
+        us.append(u)
+    return np.frombuffer(us), offset if len(starts) == 1 else np.repeat(offsets, np.diff(starts + [len(us)]))
 
 
 def _exp_or_zero(offset, val):
@@ -211,10 +212,11 @@ def _exp_or_zero(offset, val):
 
 def eval_poly(fam: EnsembleSpec, j: int, x):
     """p_j(x) by three-term recurrence: H_j, L_j^(a) or P_j^(a,b)(1-2x)."""
-    rows = _recurrence(_coeffs(fam, j), np.asarray(x, dtype=float), 0.0)
-    u, offset = collections.deque(rows, maxlen=1).pop()
-    val = u * np.exp(offset)
-    return val if np.ndim(val) else float(val)
+    if np.ndim(x) == 0:
+        u, offset = _float_rows(_coeffs(fam, j), float(x), 0.0)
+        return float(u[-1] * np.exp(np.atleast_1d(offset)[-1]))
+    u, offset = collections.deque(_recurrence(_coeffs(fam, j), np.asarray(x, dtype=float), 0.0), maxlen=1).pop()
+    return u * np.exp(offset)
 
 
 def log_norm_constant(fam: EnsembleSpec, j):
@@ -254,15 +256,41 @@ def sign_e(kind: str, j: int) -> float:
     return -1.0 if (kind == GAUSSIAN and j % 2) else 1.0
 
 
-def _normalized_rows(fam: EnsembleSpec, kmax: int, x, offset):
-    """_recurrence rows for k = 0..kmax, run on p_k / sqrt(N_k) from
-    exp(offset) / sqrt(N_0), so no norm constant is ever formed in linear scale."""
-    A, B, C = _coeffs(fam, kmax)
-    logn = log_norm_constant(fam, np.arange(kmax + 1))
-    # p_k / sqrt(N_k) takes A_k, B_k times sqrt(N_k/N_{k+1}), C_k times sqrt(N_{k-1}/N_{k+1})
-    r1 = np.exp(0.5 * (logn[:-1] - logn[1:]))
-    C[1:] *= np.exp(0.5 * (logn[:-2] - logn[2:]))
-    return _recurrence((A * r1, B * r1, C), x, offset - 0.5 * logn[0])
+# the most families whose constants family_constants keeps, and the longest
+# log |e_k| table of each kind
+FAMILY_MEMO = 128
+_LOG_ABS_E: dict[str, np.ndarray] = {}
+
+
+def family_constants(fam: EnsembleSpec, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only arrays of the family's constants to degree kmax at least: the
+    rows a, b, c of the recurrence on p_k / sqrt(N_k), log N_k and log |e_k|
+    (one table per kind, which may run further).  They are kept per family and
+    rebuilt only to reach a higher degree; each entry depends on its own
+    degree alone, so a longer build starts with the same bits."""
+    if kmax < 0:
+        raise ValueError("degree must be >= 0")
+    held = _held_constants(fam)
+    if held[0] is None or len(held[0][1]) <= kmax:
+        if len(_LOG_ABS_E.get(fam.kind, ())) <= kmax:
+            _LOG_ABS_E[fam.kind] = log_abs_e(fam.kind, np.arange(kmax + 1))
+        # rows a, b, c, log N in one block, allocated before the temporaries:
+        # a kept family then pins less of the heap they free
+        block = np.empty((4, kmax + 1))
+        A, B, C = _coeffs(fam, kmax)
+        block[3] = logn = log_norm_constant(fam, np.arange(kmax + 1))
+        # p_k / sqrt(N_k) takes A_k, B_k times sqrt(N_k/N_{k+1}), C_k times sqrt(N_{k-1}/N_{k+1})
+        r1 = np.exp(0.5 * (logn[:-1] - logn[1:]))
+        C[1:] *= np.exp(0.5 * (logn[:-2] - logn[2:]))
+        block[0, :kmax], block[1, :kmax], block[2, :kmax] = A * r1, B * r1, C
+        block.flags.writeable = _LOG_ABS_E[fam.kind].flags.writeable = False
+        held[0] = block[:3, :kmax], block[3], _LOG_ABS_E[fam.kind]
+    return held[0]
+
+
+@functools.lru_cache(maxsize=FAMILY_MEMO)
+def _held_constants(fam: EnsembleSpec) -> list:
+    return [None]
 
 
 def log_poly_table(fam: EnsembleSpec, kmax: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -271,27 +299,28 @@ def log_poly_table(fam: EnsembleSpec, kmax: int, x: float) -> tuple[np.ndarray, 
     No weight enters, so every entry is finite at any finite x, inside the
     support or outside it; sign 0 (log -inf) marks an exact zero.
     """
-    t = np.fromiter(_normalized_rows(fam, kmax, float(x), 0.0), dtype=_ROW, count=kmax + 1)
+    coeffs, logn, _ = family_constants(fam, kmax)
+    u, offset = _float_rows(coeffs[:, :kmax], float(x), -0.5 * logn[0])
     with np.errstate(divide="ignore"):
-        return np.sign(t["u"]), t["offset"] + np.log(np.abs(t["u"]))
+        return np.sign(u), offset + np.log(np.abs(u))
 
 
 def eta_table(fam: EnsembleSpec, kmax: int, x) -> np.ndarray:
     """All eta_k(x) = sqrt(w(x)/N_k) p_k(x) for k = 0..kmax.
 
-    The normalized recurrence starts from the offset log sqrt(w(x)), so
-    entries deep in the weight's tail come out right while those below
-    double range emerge as 0.  Returns an array of shape (kmax+1,) + shape(x).
+    The recurrence on p_k / sqrt(N_k) starts from the offset log sqrt(w(x) / N_0),
+    so no norm constant is ever formed in linear scale, entries deep in the
+    weight's tail come out right, and those below double range emerge as 0.
+    Returns an array of shape (kmax+1,) + shape(x).
     """
-    x = np.asarray(x, dtype=float)
-    rows = _normalized_rows(fam, kmax, x, 0.5 * log_weight(fam, x))
-    # a scalar's column is converted in one numpy call; an array's rows are
-    # converted as they come, so no second table of offsets is held
-    if x.ndim == 0:
-        t = np.fromiter(rows, dtype=_ROW, count=kmax + 1)
-        return _exp_or_zero(t["offset"], t["u"])
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    coeffs, logn, _ = family_constants(fam, kmax)
+    coeffs, offset = coeffs[:, :kmax], 0.5 * log_weight(fam, x) - 0.5 * logn[0]
+    if isinstance(x, float):
+        return _exp_or_zero(*_float_rows(coeffs, x, offset)[::-1])
     out = np.empty((kmax + 1,) + x.shape)
-    for k, (u, off) in enumerate(rows):
+    # the rows are converted as they come, so no second table of offsets is held
+    for k, (u, off) in enumerate(_recurrence(coeffs, x, offset)):
         out[k] = _exp_or_zero(off, u)
     return out
 

@@ -66,6 +66,16 @@ class TestExitCodes:
         assert run(["validate", "--suite", suite, "--N", "0"]) == 2
         assert "--N must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,args", [
+        ('{"N": 2.5}', ["kernel", "--species", "1", "2", "--points", "0", "0.5"]),
+        ('{"N": 1e400}', ["density", "--grid", "0:1:1"]),
+    ], ids=["fraction", "overflow"])
+    def test_config_N_must_be_an_integer(self, text, args, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(args + ["--config", str(cfg)]) == 2
+        assert "--N must be an integer" in capsys.readouterr().err
+
     def test_limit_kernel_range_is_a_usage_error(self, capsys):
         # the Airy kernel takes positions in [-20, 20]
         assert run(["limitcheck", "--regime", "soft", "--ensemble", "gaussian", "--N", "50",

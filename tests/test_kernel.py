@@ -268,6 +268,30 @@ class TestCorrelation:
                 assert correlation(proc, [SpeciesPoint(s, y) for s, y in pts]) == 0.0
 
 
+# species of r points: down, same-species and near-up pairs among them
+TABLE_SPECIES = {2: (4, 7), 3: (4, 7, 7), 4: (3, 5, 5, 8)}
+
+
+@pytest.mark.parametrize("spec", ALL, ids=IDS)
+@pytest.mark.parametrize("r", sorted(TABLE_SPECIES))
+def test_correlation_builds_each_points_tables_once(spec, r, monkeypatch):
+    proc = ProcessSpec(spec, 10)
+    lo, hi = {"gaussian": (-1.5, 1.5), "laguerre": (2.0, 12.0), "jacobi": (0.2, 0.8)}[spec.kind]
+    pts = [SpeciesPoint(s, float(y)) for s, y in zip(TABLE_SPECIES[r], np.linspace(lo, hi, r))]
+    # the matrix of entries made one at a time
+    expect = float(np.linalg.det(np.array([[kernel_F(proc, a, b) for b in pts] for a in pts])))
+    built = {"eta": [], "poly": []}
+    for name, attr in (("eta", "eta_table"), ("poly", "log_poly_table")):
+        def counted(fam, kmax, x, _name=name, _fn=getattr(op, attr)):
+            built[_name].append((fam, x))
+            return _fn(fam, kmax, x)
+        monkeypatch.setattr(op, attr, counted)
+    got = correlation(proc, pts)
+    for name, calls in built.items():
+        assert len(calls) == len(set(calls)) <= r, f"{name} tables: {calls}"
+    assert got == expect != 0.0
+
+
 class TestZeroWeightPoints:
     """Entries at points where a weight vanishes are built in the K gauge."""
 

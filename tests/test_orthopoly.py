@@ -344,6 +344,62 @@ class TestEta:
         assert op.ShiftedFamily(JAC, 0).params() == (JAC.a, JAC.b)
 
 
+MEMO_SPECS = [GAUSS, LAG1, op.EnsembleSpec(op.LAGUERRE, a=-0.5), op.EnsembleSpec(op.JACOBI, a=0.5, b=1.0),
+              op.EnsembleSpec(op.JACOBI, a=-0.5, b=-0.3), op.EnsembleSpec(op.JACOBI, a=0.5, b=-0.5),
+              op.EnsembleSpec(op.JACOBI, a=-0.4, b=-0.6)]
+MEMO_IDS = ["gauss", "lag1", "lag-half", "jac", "jac-neg", "jac-sum0", "jac-sum-1"]
+
+
+def fresh_constants(f, kmax):
+    """The coefficients of the recurrence on p_k / sqrt(N_k), log N_k and log |e_k|, built anew."""
+    A, B, C = op._coeffs(f, kmax)
+    degs = np.arange(kmax + 1)
+    logn = op.log_norm_constant(f, degs)
+    r1 = np.exp(0.5 * (logn[:-1] - logn[1:]))
+    C[1:] *= np.exp(0.5 * (logn[:-2] - logn[2:]))
+    return A * r1, B * r1, C, logn, op.log_abs_e(f.kind, degs)
+
+
+class TestFamilyConstants:
+    @pytest.mark.parametrize("spec", MEMO_SPECS, ids=MEMO_IDS)
+    @pytest.mark.parametrize("order", [(400, 10), (10, 400)], ids=["long-first", "short-first"])
+    def test_memo_equals_a_fresh_build(self, spec, order):
+        op._held_constants.cache_clear()
+        for kmax in order:
+            op.family_constants(spec, kmax)
+        for kmax in order:
+            coeffs, logn, loge = op.family_constants(spec, kmax)
+            got = (*coeffs[:, :kmax], logn[:kmax + 1], loge[:kmax + 1])
+            for g, e in zip(got, fresh_constants(spec, kmax)):
+                assert g.tobytes() == e.tobytes()
+
+    def test_arrays_are_read_only(self):
+        coeffs, logn, loge = op.family_constants(JAC, 12)
+        for v in (*coeffs, logn, loge):
+            with pytest.raises(ValueError):
+                v[0] = 1.0
+
+    def test_memo_is_bounded(self):
+        op._held_constants.cache_clear()
+        for i in range(op.FAMILY_MEMO + 5):
+            op.family_constants(op.EnsembleSpec(op.LAGUERRE, a=float(i)), 3)
+        assert op._held_constants.cache_info().currsize == op.FAMILY_MEMO
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            op.family_constants(GAUSS, -1)
+        with pytest.raises(ValueError):
+            op.eta_table(GAUSS, -1, 0.0)
+
+    def test_scalar_position_takes_the_float_weight(self, monkeypatch):
+        seen = []
+        real = op.log_weight
+        monkeypatch.setattr(op, "log_weight", lambda f, x: seen.append(type(x)) or real(f, x))
+        op.eta_table(LAG1, 5, np.float64(2.0))
+        op.eta_table(LAG1, 5, 3)
+        assert seen == [float, float]
+
+
 def airy_maclaurin(x, terms=60):
     """Series solution of v'' = x v with the standard Ai initial data."""
     import mpmath
