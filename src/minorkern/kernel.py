@@ -74,20 +74,15 @@ class KernelValue:
 
 class _Tables:
     """The tables of the points of one kernel matrix, each built once: a
-    point's eta table (rebuilt only to reach a higher degree; a longer table
-    starts with the same bits), its Psi and Phi tables to degree s-1, and its
-    tail moments per species gap."""
+    point's eta, Psi and Phi tables to degree s-1, and its tail moments per
+    species gap and side."""
 
     def __init__(self, proc: ProcessSpec):
-        self.proc, self.etas = proc, {}
-        self.psi = functools.cache(lambda p: _psi_table(proc, p.s, p.y, self.eta(p, p.s - 1)[:p.s]))
+        self.proc = proc
+        self.eta = functools.cache(lambda p: op.eta_table(proc.family(p.s), p.s - 1, p.y))
+        self.psi = functools.cache(lambda p: _psi_table(proc, p.s, p.y, self.eta(p)))
         self.phi_cap = functools.cache(lambda p: _phi_cap_table(proc, p.s, p.s - 1, p.y))
-        self.tails = functools.cache(lambda p, M: _psi_tails(proc, p.s, M, p.y))
-
-    def eta(self, p, kmax):
-        if len(self.etas.get(p, ())) <= kmax:
-            self.etas[p] = op.eta_table(self.proc.family(p.s), kmax, p.y)
-        return self.etas[p]
+        self.tails = functools.cache(lambda p, M, lower: _psi_tails(proc, p.s, M, p.y, lower))
 
 
 def phi_conv(n1: int, n2: int, x: float, y: float) -> float:
@@ -126,27 +121,30 @@ def _psi_table(proc, n, x, eta):
     return (-1.0) ** sig * op.sign_e(kind, sig) * np.sign(eta), np.where(eta == 0.0, NEG_INF, logs)
 
 
-def _psi_tails(proc, n, M, x):
+def _psi_tails(proc, n, M, x, lower=False):
     """(signs, logs) of Psi_j^n(x) for j = -1..-M: the tail moment of
-    (y-x)^m, m = -j-1, against the shift-(N-n+j) weight."""
+    (y-x)^m, m = -j-1, against the shift-(N-n+j) weight; with lower, the
+    same for the lower moment integral_lo^x (y-x)^m w(y) dy instead."""
     if not 1 <= n <= proc.N:
         raise ValueError(f"species {n} outside [1, {proc.N}]")
     kind, sig = proc.ensemble.kind, proc.N - n
     m = np.arange(M)
     q = sig - 1 - m
+    a, b = proc.ensemble.params()
     if kind == op.GAUSSIAN:
-        # Q == 1, so every shift is the same weight
-        lg = _gauss_tail_moments(M, x)
-    elif kind == op.JACOBI:
-        lg = np.full(M, NEG_INF)
-        ok = q >= 0
-        a, b = proc.ensemble.params()
-        lg[ok] = _jacobi_tail_moments(a + q[ok], b + q[ok], m[ok], x)
+        # Q == 1: every shift is the same weight, and the lower moment is the upper one at -x
+        lg = _gauss_tail_moments(M, -x if lower else x)
     else:
-        lg = np.array([_log_tail_integral(op.ShiftedFamily(proc.ensemble, int(qq)), int(mm), x)
-                       if qq >= 0 else NEG_INF for mm, qq in zip(m, q)])
-    # the sign (-1)^q e_q is +1 for the Gaussian family
-    signs = np.where(lg == NEG_INF, 0.0, 1.0 if kind == op.GAUSSIAN else np.where(q % 2, -1.0, 1.0))
+        lg, ok = np.full(M, NEG_INF), q >= 0
+        if kind == op.JACOBI:
+            lg[ok] = (_jacobi_lower_moments if lower else _jacobi_tail_moments)(a + q[ok], b + q[ok], m[ok], x)
+        else:
+            lg[ok] = (_laguerre_lower_moments if lower else _laguerre_tail_moments)(a + q[ok], m[ok], x)
+        if np.isnan(lg).any():
+            raise NumericError(f"lower tail moments uncertified at x={x}")
+    # the sign (-1)^q e_q is +1 for the Gaussian family; (y-x)^m has the sign (-1)^m below x
+    flip = (q if kind != op.GAUSSIAN else 0) + (m if lower else 0)
+    signs = np.where(lg == NEG_INF, 0.0, np.where(flip % 2, -1.0, 1.0))
     return signs, lg - op.log_abs_e(kind, np.maximum(q, 0)) - gammaln(m + 1.0)
 
 
@@ -224,25 +222,47 @@ def _gauss_ratios(M, x):
     raise NumericError(f"continued fraction for the Gaussian tail moments did not converge at M={M}, x={x}")
 
 
-def _laguerre_tail_moment(a: float, m: int, x: float) -> float:
-    """log of integral_max(x,0)^inf (y-x)^m y^a e^{-y} dy as a sum of positive
-    terms: for x <= 0, sum_k C(m,k) (-x)^(m-k) Gamma(a+k+1); for x > 0 and an
-    integer a, e^{-x} sum_k C(a,k) x^(a-k) Gamma(m+k+1)."""
+def _laguerre_tail_moments(a, m, x: float) -> np.ndarray:
+    """log of integral_max(x,0)^inf (y-x)^m y^a e^{-y} dy over arrays a, m of
+    one length.  For x <= 0 it is sum_k C(m,k) (-x)^(m-k) Gamma(a+k+1), and
+    for x > 0 and an integer a, e^{-x} sum_k C(a,k) x^(a-k) Gamma(m+k+1): both
+    sums of positive terms, summed in one array; the other rows take quad."""
+    out = np.full(np.shape(m), NEG_INF)
+    if x == math.inf:
+        return out
+    closed = (a == np.round(a)) | (x <= 0.0)
+    n, c = (m, a) if x <= 0.0 else (a, m)
+    rows = np.flatnonzero(closed)
+    step = max(1, SUM_BLOCK // (int(n[rows].max(initial=0)) + 1))
+    for r in (rows[i:i + step] for i in range(0, len(rows), step)):
+        _, logs = _binomial_terms(n[r], x, lambda k: gammaln(c[r, None] + k + 1.0))
+        top = logs.max(axis=1)
+        out[r] = top + np.log(np.exp(logs - top[:, None]).sum(axis=1)) - max(x, 0.0)
+    for i in np.flatnonzero(~closed):
+        out[i] = _laguerre_quad(a[i], int(m[i]), x)
+    return out
+
+
+def _laguerre_lower_moments(a, m, x: float) -> np.ndarray:
+    """log of integral_0^x (x-y)^m y^a e^{-y} dy over arrays a, m of one length,
+    any a > -1: m! Gamma(a+1)/Gamma(m+a+2) x^(m+a+1) e^{-x} 1F1(m+1; m+a+2; x)
+    (Kummer, DLMF 13.2.39), whose term ratios x (m+1+k)/((m+a+2+k)(k+1)) are
+    positive and at most x/(k+1); NaN on rows left uncertified (_positive_series)."""
     if x <= 0.0:
-        n, k = m, np.arange(m + 1)
-        logs = special.xlogy(n - k, -x) + gammaln(a + k + 1.0)
-    else:
-        n, k = int(a), np.arange(int(a) + 1)
-        logs = (n - k) * math.log(x) + gammaln(m + k + 1.0) - x
-    logs += gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    top = float(np.max(logs))
-    return top + math.log(math.fsum(np.exp(logs - top)))
+        return np.full(m.shape, NEG_INF)
+    C, lx = (m + a + 2.0)[:, None], math.log(x)
+    top, acc, done = _positive_series(lambda k: lx + np.log1p(-(a[:, None] + 1.0) / (C + k)) - np.log1p(k),
+                                      lambda K: x / (K + 1.0), len(m))
+    out = gammaln(m + 1.0) + gammaln(a + 1.0) - gammaln(m + a + 2.0) + (m + a + 1.0) * lx - x + top + np.log(acc)
+    return np.where(done, out, np.nan)
 
 
-# a Jacobi series grows in blocks of HYP_BLOCK terms, each continuing from the
-# last, and gives up past HYP_MAX_TERMS
+# a positive series grows in blocks of HYP_BLOCK terms, each continuing from
+# the last, and gives up past HYP_MAX_TERMS; a closed Laguerre sum runs on
+# blocks of rows of at most SUM_BLOCK terms
 HYP_BLOCK = 64
 HYP_MAX_TERMS = 1 << 16
+SUM_BLOCK = 1 << 11
 LOG_EPS = math.log(np.finfo(float).eps)
 # each term of the difference route carries the rounding of logs up to a few
 # hundred in size, about 1e3 eps of the term; cancellation multiplies it
@@ -256,9 +276,8 @@ def _jacobi_tail_moments(a, b, m, x: float) -> np.ndarray:
     15.8.1) give (1-x)^(m+b+1) x^(m+a+1) B(m+1, b+1) 2F1(m+a+b+2, m+1; m+b+2; 1-x),
     whose terms are all positive (_pfaff_series).  Near x = 0 that series
     needs about (m+a)/x terms, so rows it leaves past HYP_MAX_TERMS take the
-    full moment minus (-1)^m times the lower moment, which is the mirror series
-    (a <-> b, x <-> 1-x) with ratio tending to x; that difference is kept
-    where its cancellation certifies TAIL_RTOL.  A row neither route
+    full moment minus (-1)^m times the lower moment (_jacobi_lower_moments),
+    kept where its cancellation certifies TAIL_RTOL.  A row neither route
     certifies raises NumericError.  For x <= 0 the binomial sum has positive
     terms.
     """
@@ -285,21 +304,31 @@ def _pfaff_series(a, b, m, lx, lw):
     The term ratios are r_k = w (A+k)(B+k)/((C+k)(k+1)) = w (1 + (beta + d k)/((C+k)(k+1))),
     beta = AB - C = m (m+a+b+2) + a and d = m + a, so for k >= K they stay
     below R_K = w (1 + beta+/((C+K)(K+1)) + d+/(C+K)), whether they fall to w
-    or, when d < 0, rise to it.  Once R_K < 1 the terms after t_K sum to at
-    most t_K R_K / (1 - R_K); a row is done when that is below eps of its sum.
-    The sum peaks near k = d w / x, so a relative error in w comes out about
-    that many times larger: lx and lw come in exact, and log t_K carries a
-    Kahan correction for the one rounding each block adds to it.
+    or, when d < 0, rise to it (_positive_series).  The sum peaks near
+    k = d w / x, so a relative error in w comes out about that many times
+    larger: lx and lw come in exact.
     """
     C = (m + b + 2.0)[:, None]
     beta, d = (m * (m + a + b + 2.0) + a)[:, None], (m + a)[:, None]
     w = math.exp(lw)
-    lt, err = np.zeros((len(m), 1)), np.zeros((len(m), 1))  # log t_K = lt + err, t_0 = 1
-    top, acc = np.zeros(len(m)), np.ones(len(m))
-    done = np.zeros(len(m), dtype=bool)
+    top, acc, done = _positive_series(
+        lambda k: np.log1p((beta + d * k) / ((C + k) * (k + 1.0))) + lw,
+        lambda K: w * (1.0 + np.maximum(beta, 0.0) / ((C + K) * (K + 1.0)) + np.maximum(d, 0.0) / (C + K))[:, 0],
+        len(m))
+    out = (m + b + 1.0) * lw + (m + a + 1.0) * lx + special.betaln(m + 1.0, b + 1.0) + top + np.log(acc)
+    return np.where(done, out, np.nan)
+
+
+def _positive_series(log_ratio, bound, rows):
+    """(top, acc, done) by rows for the positive series t_0 = 1, t_{k+1} = t_k r_k,
+    whose sum is exp(top) acc: log_ratio(k) gives log r_k on a block of k, and
+    bound(K) bounds every r_k with k >= K.  A row is done once R_K < 1 and the
+    terms after t_K, at most t_K R_K / (1 - R_K), are below eps of its sum.
+    log t_K carries a Kahan correction for the one rounding each block adds."""
+    lt, err = np.zeros((rows, 1)), np.zeros((rows, 1))  # log t_K = lt + err, t_0 = 1
+    top, acc, done = np.zeros(rows), np.ones(rows), np.zeros(rows, dtype=bool)
     for k0 in range(0, HYP_MAX_TERMS, HYP_BLOCK):
-        k = np.arange(k0, k0 + HYP_BLOCK, dtype=float)
-        steps = np.cumsum(np.log1p((beta + d * k) / ((C + k) * (k + 1.0))) + lw, axis=1)
+        steps = np.cumsum(log_ratio(np.arange(k0, k0 + HYP_BLOCK, dtype=float)), axis=1)
         logs = steps + lt  # log t_{k0+1} .. t_{k0+HYP_BLOCK}
         y = steps[:, -1:] + err
         new = lt + y
@@ -307,35 +336,37 @@ def _pfaff_series(a, b, m, lx, lw):
         new_top = np.maximum(top, logs.max(axis=1))
         acc = acc * np.exp(top - new_top) + np.exp(logs - new_top[:, None]).sum(axis=1)
         top = new_top
-        K = k0 + HYP_BLOCK
-        R = w * (1.0 + np.maximum(beta, 0.0) / ((C + K) * (K + 1.0)) + np.maximum(d, 0.0) / (C + K))[:, 0]
+        R = bound(k0 + HYP_BLOCK)
         with np.errstate(divide="ignore", invalid="ignore"):
             done |= lt[:, 0] + np.log(R) - np.log1p(-R) <= top + np.log(acc) + LOG_EPS
         if done.all():
             break
-    out = (m + b + 1.0) * lw + (m + a + 1.0) * lx + special.betaln(m + 1.0, b + 1.0) + top + np.log(acc)
-    return np.where(done, out, np.nan)
+    return top, acc, done
+
+
+def _binomial_terms(n, x, tail):
+    """(n-k, logs) by rows of the terms C(n,k) |x|^(n-k) exp(tail(k)),
+    k = 0..max n, over an array n; logs is -inf past each row's n."""
+    k = np.arange(int(n.max(initial=0)) + 1)[None, :]
+    nn = n[:, None]
+    nk = np.maximum(nn - k, 0.0)
+    logs = gammaln(nn + 1.0) - gammaln(k + 1.0) - gammaln(nk + 1.0) + special.xlogy(nk, abs(x)) + tail(k)
+    return nk, np.where(k <= nn, logs, NEG_INF)
 
 
 def _jacobi_binomial(a, b, m, x):
     """(signs, logs) by rows of the terms C(m,k) (-x)^(m-k) B(a+k+1, b+1),
     k = 0..m, of the full moment integral_0^1 (y-x)^m y^a (1-y)^b dy; all
     positive for x <= 0."""
-    k = np.arange(int(m.max(initial=0)) + 1)[None, :]
-    mm = m[:, None]
-    inside = k <= mm
-    n = np.where(inside, mm - k, 0.0)
-    logs = (gammaln(mm + 1.0) - gammaln(k + 1.0) - gammaln(n + 1.0) + special.xlogy(n, abs(x))
-            + special.betaln(a[:, None] + k + 1.0, b[:, None] + 1.0))
-    signs = np.where(n % 2, -1.0, 1.0) if x > 0.0 else np.ones_like(logs)
-    return np.where(inside, signs, 0.0), np.where(inside, logs, NEG_INF)
+    nk, logs = _binomial_terms(m, x, lambda k: special.betaln(a[:, None] + k + 1.0, b[:, None] + 1.0))
+    return np.where(nk % 2, -1.0, 1.0) if x > 0.0 else np.ones_like(logs), logs
 
 
 def _jacobi_difference(a, b, m, x):
     """log of the upper moment as the full moment minus (-1)^m times the lower
     moment integral_0^x (x-y)^m y^a (1-y)^b dy, for rows with 0 < x < 1; NaN
     on rows whose cancellation leaves it short of TAIL_RTOL."""
-    low = _pfaff_series(b, a, m, math.log1p(-x), math.log(x))
+    low = _jacobi_lower_moments(a, b, m, x)
     signs, logs = _jacobi_binomial(a, b, m, x)
     signs = np.column_stack([signs, (-1.0) ** (m + 1.0)])
     logs = np.column_stack([logs, low])
@@ -347,37 +378,25 @@ def _jacobi_difference(a, b, m, x):
     return out
 
 
-def _log_tail_integral(fam: op.EnsembleSpec, m: int, x: float) -> float:
-    """log of integral_x^inf (y-x)^m w_fam(y) dy for a Laguerre family, robust
-    to huge magnitudes: in closed form for x <= 0 or an integer exponent,
-    otherwise by quad, which raises NumericError past 1e-8.  (The Jacobi
-    moments are series, _jacobi_tail_moments.)"""
-    if x == math.inf:
-        return NEG_INF
-    a = fam.a
-    if x <= 0.0 or a == int(a):
-        return _laguerre_tail_moment(a, m, x)
+def _jacobi_lower_moments(a, b, m, x: float) -> np.ndarray:
+    """log of integral_0^x (x-y)^m y^a (1-y)^b dy over arrays a, b, m of one
+    length: the mirror series (a <-> b, x <-> 1-x) of _jacobi_tail_moments,
+    whose ratio tends to x; NaN on rows it leaves uncertified, and for x >= 1."""
+    if not 0.0 < x < 1.0:
+        return np.full(np.shape(m), NEG_INF if x <= 0.0 else np.nan)
+    return _pfaff_series(b, a, m, math.log1p(-x), math.log(x))
 
+
+def _laguerre_quad(a: float, m: int, x: float) -> float:
+    """log of integral_x^inf (y-x)^m y^a e^{-y} dy for x > 0 by quad over
+    u = y - x, scaled by the integrand's peak; raises NumericError past 1e-8."""
     def logf(u):
-        # u = y - x
-        y = x + u
-        t = m * np.log(y - x) if m else 0.0
-        return t + a * np.log(y) - y
+        with np.errstate(divide="ignore"):
+            return (m * np.log(u) if m else 0.0) + a * np.log(x + u) - x - u
 
-    # locate the mode of the log-integrand on a log-spaced grid
-    grid = np.concatenate([[1e-12], np.geomspace(1e-6, 1e4, 400)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = logf(grid)
-    mx = float(np.max(np.where(np.isnan(vals), -np.inf, vals)))
-    if mx == -math.inf:
-        return NEG_INF
-
-    def f(u):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lf = logf(np.asarray(u, dtype=float))
-        return np.exp(np.where(np.isnan(lf), -np.inf, lf) - mx)
-
-    val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=300)
+    # the one peak in u >= 0, where m/u + a/(x+u) = 1 (or u = 0)
+    mx = logf(0.5 * (m + a - x + math.sqrt((x - m - a) ** 2 + 4.0 * m * x)))
+    val, err = integrate.quad(lambda u: np.exp(logf(u) - mx), 0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=300)
     if val <= 0.0:
         return NEG_INF
     if err > 1e-8 * val:
@@ -417,17 +436,17 @@ def _slog_sum(signs, logs):
     return (math.copysign(1.0, tot), m + math.log(abs(tot)))
 
 
-def _bilinear(tables, p1, p2, k_lo, k_hi):
+def _bilinear(tables, p1, p2):
     """(signs, logs) of gamma_{s1-k}/gamma_{s2-k} eta_{s1-k}(y1) eta_{s2-k}(y2)
-    for k = k_lo..k_hi, with gamma_j = e_j sqrt(N_j), from one eta table per
+    for k = 1..s2, with gamma_j = e_j sqrt(N_j), from one eta table per
     point.  The terms are products of eta floats, so a cancelling sum keeps
     its accuracy relative to the terms' size."""
     proc, s1, s2 = tables.proc, p1.s, p2.s
     spec = proc.ensemble
-    k = np.arange(k_lo, k_hi + 1)
-    prod = tables.eta(p1, s1 - k_lo)[s1 - k] * tables.eta(p2, s2 - k_lo)[s2 - k]
+    k = np.arange(1, s2 + 1)
+    prod = tables.eta(p1)[s1 - k] * tables.eta(p2)[s2 - k]
     # log |gamma_j| = log |e_j| + log N_j / 2
-    (_, n1, e1), (_, n2, e2) = (op.family_constants(proc.family(s), s - k_lo) for s in (s1, s2))
+    (_, n1, e1), (_, n2, e2) = (op.family_constants(proc.family(s), s - 1) for s in (s1, s2))
     lg = (e1[s1 - k] + 0.5 * n1[s1 - k]) - (e2[s2 - k] + 0.5 * n2[s2 - k])
     with np.errstate(divide="ignore"):
         logs = np.where(prod != 0.0, lg + np.log(np.abs(prod)), NEG_INF)
@@ -441,72 +460,52 @@ def _gauge(proc, p1, p2):
     return 0.5 * (op.log_weight(proc.family(p1.s), p1.y) - op.log_weight(proc.family(p2.s), p2.y))
 
 
-# species separations at least this large go through the bilinear series,
-# which then converges geometrically; below it the finite quadrature form is
-# used (the two paths agree in the overlap, see the tests)
-SERIES_SPLIT = 12
-# a series whose terms' absolute sum exceeds |sum| by more than e^10 loses
-# digits to their rounding (1.1e-8 of the entry at e^13.8, while the finite
-# sum kept 6e-15), so it falls back to the finite sum
-SERIES_MAX_CANCEL = 10.0
-# the deepest degree the series grows to before it falls back
-SERIES_MAX_DEPTH = 6000
+# a side whose terms' absolute sum exceeds |sum| by more than e^MAX_CANCEL loses
+# digits to their rounding: the other side is formed too, and the better kept
+MAX_CANCEL = 10.0
 
 
 def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, tables=None):
     """K(s1,y1;s2,y2) as (sign, log), from the points' tables (new ones by default)."""
     tables = _Tables(proc) if tables is None else tables
-    s1, y1 = p1.s, p1.y
-    s2, y2 = p2.s, p2.y
-    if s1 >= s2:
-        sign, lg = _slog_sum(*_bilinear(tables, p1, p2, 1, s2))
+    if p1.s >= p2.s:
+        sign, lg = _slog_sum(*_bilinear(tables, p1, p2))
         if sign == 0.0:
             return (0.0, NEG_INF)
-        return ((-1.0) ** (s1 - s2) * sign, _gauge(proc, p1, p2) + lg)
-    if s2 - s1 >= SERIES_SPLIT:
-        val = _series_slog(proc, p1, p2, tables)
-        if val is not None:
-            return val
+        return ((-1.0) ** (p1.s - p2.s) * sign, _gauge(proc, p1, p2) + lg)
+    sides = []
+    for lower in (False, True):
+        try:
+            sides.append(_finite_sum(tables, p1, p2, lower))
+        except NumericError:
+            if lower and not sides:
+                raise
+        if sides and sides[0][2] <= MAX_CANCEL:
+            break
+    return min(sides, key=lambda side: side[2])[:2]
+
+
+def _finite_sum(tables, p1, p2, lower):
+    """(sign, log, log cancellation) of K(s1,y1;s2,y2), s1 < s2, as -phi +
+    sum over l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2); the Psi with l > s1
+    are moments over [y1, hi].  With lower they run over [lo, y1]: the sum
+    over the whole support is (y2-y1)^m/m!, m = s2-s1-1, so the first term
+    becomes chi_{y2<y1} (y2-y1)^m/m!, and each moment enters negated."""
+    s1, y1, s2, y2 = p1.s, p1.y, p2.s, p2.y
+    sign, lg = _phi_conv_slog(s1, s2, *((y2, y1) if lower else (y1, y2)))
+    first = ((-1.0) ** (s2 - s1 - 1) * sign if lower else -sign, lg)
     if s2 == s1 + 1 and y2 == y1:
         # jump midpoint of the indicator kernel: the value the bilinear
         # expansion converges to; determinants do not see the difference
-        phi_sign, phi_log = 0.5, 0.0
-    else:
-        phi_sign, phi_log = _phi_conv_slog(s1, s2, y1, y2)
-    # -phi + sum over l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2); the Psi
-    # with l > s1 are tail integrals, the rest come from one table per point
+        first = (0.5 if lower else -0.5, 0.0)
     psi_s, psi_l = (v[::-1] for v in tables.psi(p1))
-    tail_s, tail_l = tables.tails(p1, s2 - s1)
+    tail_s, tail_l = tables.tails(p1, s2 - s1, lower)
     phi_s, phi_l = (v[::-1] for v in tables.phi_cap(p2))
-    signs = np.concatenate([[-phi_sign], psi_s, tail_s]) * np.concatenate([[1.0], phi_s])
-    logs = np.concatenate([[phi_log], psi_l, tail_l]) + np.concatenate([[0.0], phi_l])
-    return _slog_sum(signs, logs)
-
-
-def _series_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, tables=None):
-    """Bilinear series for s1 < s2, grown in blocks of degrees (each one twice
-    the last, up to SERIES_MAX_DEPTH); only used when its tail certifies as
-    geometric and its terms do not cancel badly (returns None otherwise)."""
-    tables = _Tables(proc) if tables is None else tables
-    depth, block = 384, 48
-    while True:
-        signs, logs = _bilinear(tables, p1, p2, -depth, 0)
-        sign, result_log = _slog_sum(signs, logs)
-        if sign == 0.0:
-            return (0.0, NEG_INF)
-        # accept when the trailing envelope (the highest degrees, first in k
-        # order) falls and sits far below the result, so a flat-tail bound
-        # already certifies the truncation; fall back once it stops falling
-        env_last = float(np.max(logs[:block]))
-        if env_last > float(np.max(logs[block: 2 * block])):
-            return None
-        if env_last <= result_log - 30.0:
-            if _slog_sum(np.abs(signs), logs)[1] > result_log + SERIES_MAX_CANCEL:
-                return None
-            return ((-1.0) ** ((p2.s - p1.s - 1) % 2) * sign, _gauge(proc, p1, p2) + result_log)
-        if depth == SERIES_MAX_DEPTH:
-            return None
-        depth = min(2 * depth, SERIES_MAX_DEPTH)
+    signs = np.concatenate([[first[0]], psi_s, -tail_s if lower else tail_s]) * np.concatenate([[1.0], phi_s])
+    logs = np.concatenate([[first[1]], psi_l, tail_l]) + np.concatenate([[0.0], phi_l])
+    sign, lg = _slog_sum(signs, logs)
+    size = _slog_sum(np.abs(signs), logs)[1]
+    return sign, lg, (size - lg if sign else (0.0 if size == NEG_INF else math.inf))
 
 
 def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:
@@ -527,7 +526,7 @@ def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
 def _entry_F(tables, p1, p2):
     proc = tables.proc
     if p1.s >= p2.s:
-        return slog_to_float(*_slog_sum(*_bilinear(tables, p1, p2, 1, p2.s)))
+        return slog_to_float(*_slog_sum(*_bilinear(tables, p1, p2)))
     sign, lg = _kernel_slog(proc, p1, p2, tables)
     if sign == 0.0:
         return 0.0

@@ -17,8 +17,8 @@ from minorkern.kernel import (
     phi_conv,
     psi,
 )
-import minorkern.kernel as kernel_mod
 from oracles import f_entry_direct, f_entry_series
+from test_tail_moments import up_entry_mp
 
 GAUSS = op.EnsembleSpec(op.GAUSSIAN)
 LAG = op.EnsembleSpec(op.LAGUERRE, a=1.0)
@@ -152,27 +152,34 @@ class TestKernel:
                 proc, SpeciesPoint(s, x), SpeciesPoint(t, y))
             assert got == pytest.approx(ref, rel=1e-8, abs=1e-11)
 
-    def test_series_and_quadrature_paths_agree(self):
-        # overlap region, points in the shared bulk so both paths are
-        # well-conditioned
+    def test_far_entries_in_the_bulk_against_mpmath(self):
+        # gaps 14, 14 and 13 with both points in the shared bulk, where a
+        # bilinear series would also converge: every entry with s1 < s2 takes
+        # the finite sum
         proc = ProcessSpec(GAUSS, 20)
         for (s, t, x, y) in [(2, 16, 0.5, -1.0), (4, 18, -0.9, 1.2), (6, 19, 0.0, 0.4)]:
             p1, p2 = SpeciesPoint(s, x), SpeciesPoint(t, y)
-            ser = kernel_mod._series_slog(proc, p1, p2)
-            assert ser is not None
-            old = kernel_mod.SERIES_SPLIT
-            kernel_mod.SERIES_SPLIT = 10**9
-            try:
-                quad = kernel_mod._kernel_slog(proc, p1, p2)
-            finally:
-                kernel_mod.SERIES_SPLIT = old
-            chain = f_entry_series(proc, p1, p2)
-            gauge = 0.5 * (op.log_weight(proc.family(t), y) - op.log_weight(proc.family(s), x))
-            sgn = (-1.0) ** ((t - s) % 2)
-            f_ser = sgn * ser[0] * math.exp(ser[1] + gauge)
-            f_quad = sgn * quad[0] * math.exp(quad[1] + gauge)
-            assert f_ser == pytest.approx(chain, rel=1e-9)
-            assert f_quad == pytest.approx(chain, rel=1e-6)
+            scale = math.sqrt(abs(kernel_F(proc, p1, p1) * kernel_F(proc, p2, p2)))
+            assert abs(kernel_F(proc, p1, p2) - up_entry_mp(GAUSS, 20, s, x, t, y)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("spec", ALL, ids=IDS)
+    def test_far_entry_keeps_no_family_past_N(self, monkeypatch, spec):
+        # every table of an entry stops at degree N - 1, so the memo of family
+        # constants holds no longer family after a far entry
+        op._held_constants.cache_clear()
+        seen = set()
+        constants = op.family_constants
+
+        def recording(fam, kmax):
+            seen.add(fam)
+            return constants(fam, kmax)
+
+        monkeypatch.setattr(op, "family_constants", recording)
+        proc = ProcessSpec(spec, 30)
+        lo, hi = {"gaussian": (0.3, 1.1), "laguerre": (12.0, 20.0), "jacobi": (0.4, 0.6)}[spec.kind]
+        kernel_F(proc, SpeciesPoint(4, lo), SpeciesPoint(21, hi))
+        assert seen
+        assert all(len(op._held_constants(fam)[0][1]) <= 30 for fam in seen)
 
 
 class TestCorrelation:

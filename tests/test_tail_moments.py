@@ -1,8 +1,11 @@
-"""Tail moments integral_x (y-x)^m w(y) dy of the near-up kernel entries:
-closed forms for the Gaussian and integer-exponent Laguerre weights, a
-positive hypergeometric series for the Jacobi weights, quad for Laguerre with
-a non-integer exponent at x > 0, and the accuracy of a cancelling near-up
-entry."""
+"""Moments of the kernel entries with s1 < s2: the upper moments
+integral_x^hi (y-x)^m w(y) dy (closed forms for the Gaussian and
+integer-exponent Laguerre weights, a positive hypergeometric series for the
+Jacobi weights, quad for Laguerre with a non-integer exponent at x > 0) and
+the lower moments integral_lo^x (reflection for the Gaussian weight, Kummer's
+series for Laguerre, the mirror series for Jacobi, none of them quad); and the
+accuracy of those entries against a 50-digit reference, wherever y1 lies,
+which holds the rule that takes the side of y1 whose finite sum cancels less."""
 
 import math
 
@@ -53,16 +56,17 @@ def test_gaussian_moments_match_mpmath(x):
 @pytest.mark.parametrize("a", [0, 1, 7, 33])
 @pytest.mark.parametrize("x", [-2.5, -0.3, 0.0, 0.4, 3.8, 41.0, 332.0])
 def test_laguerre_moments_match_mpmath(a, x):
-    for m in (0, 1, 6, 33):
-        got = kernel_mod._log_tail_integral(op.ShiftedFamily(op.EnsembleSpec(op.LAGUERRE, a=float(a))), m, x)
-        assert abs(got - laguerre_moment_mp(a, m, x)) < 1e-11, m
+    ms = [0, 1, 6, 33]
+    got = kernel_mod._laguerre_tail_moments(np.full(4, float(a)), np.array(ms), x)
+    for m, g in zip(ms, got):
+        assert abs(g - laguerre_moment_mp(a, m, x)) < 1e-11, m
 
 
 def test_laguerre_non_integer_exponent_closed_below_zero():
     # for x <= 0 the binomial sum needs no integer exponent
-    fam = op.ShiftedFamily(op.EnsembleSpec(op.LAGUERRE, a=-0.5), 2)
     for m, x in [(0, 0.0), (3, -0.7), (9, -2.0)]:
-        assert abs(kernel_mod._log_tail_integral(fam, m, x) - laguerre_moment_mp(1.5, m, x)) < 1e-11
+        got = kernel_mod._laguerre_tail_moments(np.array([1.5]), np.array([m]), x)[0]
+        assert abs(got - laguerre_moment_mp(1.5, m, x)) < 1e-11
 
 
 def test_continued_fraction_that_does_not_converge_raises(monkeypatch):
@@ -185,6 +189,27 @@ def test_jacobi_near_up_entries_of_one_row_run_no_quad(monkeypatch):
     assert all(math.isfinite(v) for v in vals) and all(vals)
 
 
+def poly_table_mp(kind, al, be, y, n):
+    """H_j(y), L_j^(al)(y) or P_j^(al,be)(1-2y) for j = 0..n-1 (at least two)
+    by their three-term recurrences (DLMF 18.9.1)."""
+    if kind == op.GAUSSIAN:
+        out = [mpmath.mpf(1), 2 * y]
+        for j in range(1, n - 1):
+            out.append(2 * y * out[j] - 2 * j * out[j - 1])
+    elif kind == op.LAGUERRE:
+        out = [mpmath.mpf(1), 1 + al - y]
+        for j in range(1, n - 1):
+            out.append(((2 * j + 1 + al - y) * out[j] - (j + al) * out[j - 1]) / (j + 1))
+    else:
+        t, s = 1 - 2 * y, al + be
+        out = [mpmath.mpf(1), (al + 1) + (s + 2) * (t - 1) / 2]
+        for j in range(1, n - 1):
+            c = 2 * j + s
+            out.append(((c + 1) * ((c + 2) * c * t + al * al - be * be) * out[j]
+                        - 2 * (j + al) * (j + be) * (c + 2) * out[j - 1]) / (2 * (j + 1) * (j + s + 1) * c))
+    return out
+
+
 def up_entry_mp(spec, N, s1, y1, s2, y2):
     """kernel_F entry for s1 < s2 at 50 digits: -phi + sum over l of
     Psi_{s1-l}(y1) Phi_{s2-l}(y2), with Psi from its defining convolution
@@ -199,9 +224,6 @@ def up_entry_mp(spec, N, s1, y1, s2, y2):
             def w(sh, y):
                 return mpmath.exp(-y * y)
 
-            def p(j, sh, y):
-                return mpmath.hermite(j, y)
-
             def norm(j, sh):
                 return 2 ** j * mpmath.factorial(j) * mpmath.sqrt(mpmath.pi)
 
@@ -213,9 +235,6 @@ def up_entry_mp(spec, N, s1, y1, s2, y2):
             def w(sh, y):
                 return y ** (a + sh) * mpmath.exp(-y)
 
-            def p(j, sh, y):
-                return mpmath.laguerre(j, a + sh, y)
-
             def norm(j, sh):
                 return mpmath.gamma(j + a + sh + 1) / mpmath.factorial(j)
 
@@ -223,9 +242,6 @@ def up_entry_mp(spec, N, s1, y1, s2, y2):
         else:
             def w(sh, y):
                 return y ** (a + sh) * (1 - y) ** (b + sh)
-
-            def p(j, sh, y):
-                return mpmath.jacobi(j, a + sh, b + sh, 1 - 2 * y)
 
             def norm(j, sh):
                 aa, bb = a + sh, b + sh
@@ -236,18 +252,42 @@ def up_entry_mp(spec, N, s1, y1, s2, y2):
         if spec.kind != op.GAUSSIAN:
             def e_ratio(j):
                 return mpmath.factorial(sig + j) / mpmath.factorial(j)
+        nodes = {}
 
         def psi_mp(j):
-            f = lambda y: w(0, y) * p(N - s1 + j, 0, y) * (y - y1) ** k
+            # the quadratures of the Psi share their nodes, so each node's
+            # integrands come from one recurrence
+            def f(y):
+                if y not in nodes:
+                    c = w(0, y) * (y - y1) ** k
+                    nodes[y] = [c * v for v in poly_table_mp(spec.kind, a, b, y, N)]
+                return nodes[y][N - s1 + j]
             return mpmath.quad(f, panels) / mpmath.factorial(k)
 
+        phi_poly = poly_table_mp(spec.kind, a + sig, b + sig, y2, N)
+
         def phi_mp(j):
-            return (-1) ** sig * e_ratio(j) * p(j, sig, y2) / norm(j, sig)
+            return (-1) ** sig * e_ratio(j) * phi_poly[j] / norm(j, sig)
 
         m = s2 - s1 - 1
         phi_conv = (y2 - y1) ** m / mpmath.factorial(m) if y2 > y1 else 0
         kval = -phi_conv + mpmath.fsum(psi_mp(s1 - l) * phi_mp(s2 - l) for l in range(1, s2 + 1))
         return float((-1) ** (s2 - s1) * kval * mpmath.sqrt(w(N - s2, y2) / w(N - s1, y1)))
+
+
+def test_reference_polynomials_match_mpmath():
+    # up_entry_mp evaluates its polynomials by recurrence, so that the
+    # quadratures of one entry share each node's table
+    with mpmath.workdps(50):
+        for y in (mpmath.mpf("0.3"), mpmath.mpf("-2.7"), mpmath.mpf("13.1")):
+            for j, v in enumerate(poly_table_mp(op.GAUSSIAN, 0, 0, y, 30)):
+                assert abs(v / mpmath.hermite(j, y) - 1) < 1e-40
+            for j, v in enumerate(poly_table_mp(op.LAGUERRE, mpmath.mpf(2.5), 0, y, 30)):
+                assert abs(v / mpmath.laguerre(j, 2.5, y) - 1) < 1e-40
+        for y in (mpmath.mpf("0.01"), mpmath.mpf("0.3"), mpmath.mpf("0.97")):
+            for al, be in [(0.5, 1.0), (-0.5, -0.3), (-0.4, -0.6)]:
+                for j, v in enumerate(poly_table_mp(op.JACOBI, mpmath.mpf(al), mpmath.mpf(be), y, 30)):
+                    assert abs(v / mpmath.jacobi(j, al, be, 1 - 2 * y) - 1) < 1e-40
 
 
 def test_cancelling_near_up_entry_against_mpmath():
@@ -276,9 +316,140 @@ def test_jacobi_entry_next_to_the_endpoint():
 
 
 def test_far_entry_whose_series_cancels_takes_the_finite_sum():
-    # the bilinear series' terms reach e^13.8 times the sum, which left it
+    # a bilinear series' terms reach e^13.8 times the sum, which leaves it
     # 1.1e-8 off; the finite sum is exact to roundoff here
     proc = ProcessSpec(op.EnsembleSpec(op.GAUSSIAN), 30)
     p1, p2 = SpeciesPoint(3, 9.8172009678519), SpeciesPoint(21, 10.12687340619569)
-    assert kernel_mod._series_slog(proc, p1, p2) is None
     assert kernel_F(proc, p1, p2) == pytest.approx(up_entry_mp(proc.ensemble, 30, 3, p1.y, 21, p2.y), rel=1e-12)
+
+
+GAUSS = op.EnsembleSpec(op.GAUSSIAN)
+LAG0, LAG1, LAG_HALF = (op.EnsembleSpec(op.LAGUERRE, a=a) for a in (0.0, 1.0, -0.5))
+
+
+def scaled_error(spec, N, s1, y1, s2, y2):
+    """|kernel_F - up_entry_mp| over the entry's scale max(|F|, sqrt|F11 F22|)."""
+    proc = ProcessSpec(spec, N)
+    p1, p2 = SpeciesPoint(s1, y1), SpeciesPoint(s2, y2)
+    ref = up_entry_mp(spec, N, s1, y1, s2, y2)
+    scale = max(abs(ref), math.sqrt(abs(kernel_F(proc, p1, p1) * kernel_F(proc, p2, p2))))
+    return abs(kernel_F(proc, p1, p2) - ref) / scale
+
+
+@pytest.mark.parametrize("spec,N,s1,y1,s2,y2", [
+    # y1 below the bulk of species s1, where the terms over [y1, hi] cancel
+    # to roundoff: 2.5e3, 2.8, 1.4e-6, 7.7e-8, 1.4e-3 and 3.4e-4 relative
+    # before the side rule
+    (LAG1, 16, 2, 0.4, 6, 3.5),
+    (LAG0, 10, 1, 0.0908, 7, 2.885),
+    (LAG0, 9, 1, 0.31681, 7, 2.24375),
+    (LAG1, 16, 1, 3.5, 9, 3.5),
+    (LAG_HALF, 12, 2, 0.3, 7, 1.5),
+    (JAC, 10, 2, 0.02, 6, 0.4),
+    # here the lower side's terms are 4e4 times its sum and the upper side's
+    # are not: the rule keeps the upper side
+    (GAUSS, 12, 6, 2.5, 9, 1.0),
+    # a far entry below the bulk: 1.6e8 of scale from the bilinear series
+    (LAG0, 24, 2, 0.616, 18, 35.875),
+], ids=["lag1-below", "lag0-below", "lag0-found", "lag1-mid", "lag-half-below", "jac-below",
+        "gauss-upper-side", "lag0-far-below"])
+def test_up_entries_below_the_bulk_against_mpmath(spec, N, s1, y1, s2, y2):
+    assert scaled_error(spec, N, s1, y1, s2, y2) < 1e-12
+
+
+def _bulk(proc, s):
+    """The extreme zeros of p_{s+1} in the family of species s."""
+    z = op.gauss_weight_nodes(proc.family(s), s + 1)[0]
+    return float(z.min()), float(z.max())
+
+
+def _place(rng, kind, lo, hi, where):
+    u = rng.uniform(0.02, 0.6)
+    if where == "in":
+        return rng.uniform(lo, hi)
+    if kind == op.GAUSSIAN:
+        return lo - 5 * u if where == "below" else hi + 5 * u
+    if where == "below":
+        return lo * u
+    return hi * (1 + 2 * u) if kind == op.LAGUERRE else hi + (1 - hi) * u
+
+
+def test_seeded_sweep_of_up_entries_against_mpmath():
+    # for each of five weights, y1 below, in and above the bulk of species
+    # s1 <= 3 and y2 in the bulk of species s2; two near entries (N 6-10) and
+    # one far (N 15-17, gap >= 12) per place: 45 entries
+    rng = np.random.default_rng(2025)
+    errors = {}
+    for spec in (GAUSS, LAG0, LAG1, LAG_HALF, JAC):
+        for where in ("below", "in", "above"):
+            for far in (False, False, True):
+                N = int(rng.integers(15, 18)) if far else int(rng.integers(6, 11))
+                s1 = int(rng.integers(1, 4))
+                s2 = s1 + (int(rng.integers(12, N - s1 + 1)) if far else int(rng.integers(1, N - s1 + 1)))
+                proc = ProcessSpec(spec, N)
+                y1 = _place(rng, spec.kind, *_bulk(proc, s1), where)
+                y2 = rng.uniform(*_bulk(proc, s2))
+                errors[spec, N, s1, y1, s2, y2] = scaled_error(spec, N, s1, y1, s2, y2)
+    worst = max(errors, key=errors.get)
+    assert len(errors) == 45 and errors[worst] < 1e-12, (worst, errors[worst])
+
+
+@pytest.mark.parametrize("x", GAUSS_X)
+def test_gaussian_lower_moments_match_mpmath(x):
+    # integral_-inf^x (u-x)^m e^{-u^2} du = (-1)^m times the upper moment at -x
+    signs, logs = kernel_mod._psi_tails(ProcessSpec(GAUSS, 40), 1, 34, x, lower=True)
+    m = np.arange(34)
+    moments = logs + op.log_abs_e(op.GAUSSIAN, 38 - m) + np.array([math.lgamma(k + 1.0) for k in m])
+    assert np.array_equal(signs, np.where(m % 2, -1.0, 1.0))
+    for k in (0, 1, 2, 5, 12, 21, 33):
+        assert abs(moments[k] - gauss_moment_mp(k, -x)) < 1e-11, k
+
+
+def laguerre_lower_mp(a, m, x):
+    """log of integral_0^x (x-y)^m y^a e^-y dy = B(a+1, m+1) x^(m+a+1) 1F1(a+1; m+a+2; -x)."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        return float(mpmath.log(mpmath.beta(a + 1, m + 1)) + (m + a + 1) * mpmath.log(x)
+                     + mpmath.log(mpmath.hyp1f1(a + 1, m + a + 2, -x)))
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.5, 7.5])
+@pytest.mark.parametrize("x", [1e-3, 0.4, 3.8, 41.0, 332.0])
+def test_laguerre_lower_moments_match_mpmath(a, x):
+    ms = [0, 1, 6, 33]
+    got = kernel_mod._laguerre_lower_moments(np.full(4, a), np.array(ms), x)
+    for m, g in zip(ms, got):
+        assert abs(g - laguerre_lower_mp(a, m, x)) < 1e-11, m
+
+
+def jacobi_lower_mp(a, b, m, x):
+    """log of integral_0^x (x-y)^m y^a (1-y)^b dy = x^(m+a+1) B(a+1, m+1) 2F1(-b, a+1; m+a+2; x)."""
+    with mpmath.workdps(40):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        return float((m + a + 1) * mpmath.log(x) + mpmath.log(mpmath.beta(a + 1, m + 1))
+                     + mpmath.log(mpmath.hyp2f1(-b, a + 1, m + a + 2, x)))
+
+
+@pytest.mark.parametrize("base", [(0.5, 1.0), (-0.5, -0.3)], ids=["half-one", "neg"])
+@pytest.mark.parametrize("x", [1e-8, 0.03, 0.5, 0.9])
+def test_jacobi_lower_moments_match_mpmath(base, x):
+    q = np.array([0, 1, 7, 30, 60] * 5)
+    m = np.repeat([0, 1, 5, 17, 33], 5)
+    got = kernel_mod._jacobi_lower_moments(base[0] + q, base[1] + q, m, x)
+    for qq, mm, g in zip(q, m, got):
+        assert abs(g - jacobi_lower_mp(base[0] + qq, base[1] + qq, mm, x)) < 1e-11, (qq, mm)
+
+
+def test_lower_side_of_a_laguerre_half_entry_runs_no_quad(monkeypatch):
+    # below the bulk the upper side (by quad) cancels, and the rule takes the
+    # lower side, whose moments are Kummer series
+    proc = ProcessSpec(LAG_HALF, 12)
+    p1, p2 = SpeciesPoint(2, 0.3), SpeciesPoint(7, 1.5)
+    ref = up_entry_mp(LAG_HALF, 12, 2, 0.3, 7, 1.5)
+    got = kernel_F(proc, p1, p2)
+    _forbid_quad(monkeypatch)
+    sign, lg, _ = kernel_mod._finite_sum(kernel_mod._Tables(proc), p1, p2, lower=True)
+    lower = -sign * math.exp(lg - kernel_mod._gauge(proc, p1, p2))
+    assert lower == got
+    scale = math.sqrt(kernel_F(proc, p1, p1) * kernel_F(proc, p2, p2))
+    assert abs(lower - ref) < 1e-12 * scale
