@@ -449,7 +449,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"missing required --{name}")
     if "N" in explicit and type(cfg.N) is not int:
         raise UsageError(f"--N must be an integer, got {cfg.N!r}")
-    if "N" in changed and cfg.N < 1:
+    if "N" in explicit and cfg.N < 1:
         raise UsageError(f"--N must be >= 1, got {cfg.N}")
     for name in rejected:
         if name in changed:

@@ -10,7 +10,6 @@ double precision.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,17 +71,21 @@ class KernelValue:
     value: float
 
 
+def _memo(build):
+    """build, keeping its result per tuple of arguments (cheaper to make than functools.cache)."""
+    held = {}
+    return lambda *key: held[key] if key in held else held.setdefault(key, build(*key))
+
+
 class _Tables:
-    """The tables of the points of one kernel matrix, each built once: a
-    point's eta, Psi and Phi tables to degree s-1, and its tail moments per
-    species gap and side."""
+    """The tables of the points of one kernel matrix, each built once: a point's
+    Psi and Phi tables to degree s-1, and its tail moments per gap and side."""
 
     def __init__(self, proc: ProcessSpec):
         self.proc = proc
-        self.eta = functools.cache(lambda p: op.eta_table(proc.family(p.s), p.s - 1, p.y))
-        self.psi = functools.cache(lambda p: _psi_table(proc, p.s, p.y, self.eta(p)))
-        self.phi_cap = functools.cache(lambda p: _phi_cap_table(proc, p.s, p.s - 1, p.y))
-        self.tails = functools.cache(lambda p, M, lower: _psi_tails(proc, p.s, M, p.y, lower))
+        self.psi = _memo(lambda p: _psi_table(proc, p.s, p.y, op.eta_table(proc.family(p.s), p.s - 1, p.y)))
+        self.phi_cap = _memo(lambda p: _phi_cap_table(proc, p.s, p.s - 1, p.y))
+        self.tails = _memo(lambda p, M, lower: _psi_tails(proc, p.s, M, p.y, lower))
 
 
 def phi_conv(n1: int, n2: int, x: float, y: float) -> float:
@@ -113,7 +116,8 @@ def psi(proc: ProcessSpec, n: int, j: int, x: float) -> float:
 def _psi_table(proc, n, x, eta):
     """(signs, logs) of Psi_j^n(x) for j = 0..len(eta)-1, from the eta table."""
     fam, sig, kind, jmax = proc.family(n), proc.N - n, proc.ensemble.kind, len(eta) - 1
-    _, logn, loge = op.family_constants(fam, sig + jmax)
+    # log |e_k| is one table per kind, read through the base family's constants to N - 1
+    logn, loge = op.family_constants(fam, jmax)[1], op.family_constants(proc.ensemble, proc.N - 1)[2]
     with np.errstate(divide="ignore"):
         logs = (loge[:jmax + 1] - loge[sig:sig + jmax + 1]
                 + 0.5 * (op.log_weight(fam, x) + logn[:jmax + 1]) + np.log(np.abs(eta)))
@@ -372,8 +376,8 @@ def _jacobi_difference(a, b, m, x):
     logs = np.column_stack([logs, low])
     out = np.full(m.shape, np.nan)
     for i, (s, lg) in enumerate(zip(signs, logs)):
-        sign, val = _slog_sum(s, lg)
-        if sign > 0.0 and _slog_sum(np.abs(s), lg)[1] - val <= math.log(TAIL_RTOL / DIFF_TERM_RTOL):
+        sign, val, size = _slog_sum(s, lg)
+        if sign > 0.0 and size - val <= math.log(TAIL_RTOL / DIFF_TERM_RTOL):
             out[i] = val
     return out
 
@@ -419,40 +423,23 @@ def _phi_cap_table(proc, n, jmax, x):
     finite outside the support too."""
     fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
     sign, lg = op.log_poly_table(fam, jmax, x)
-    _, logn, loge = op.family_constants(fam, sig + jmax)
+    logn, loge = op.family_constants(fam, jmax)[1], op.family_constants(proc.ensemble, proc.N - 1)[2]
     logs = loge[sig:sig + jmax + 1] - loge[:jmax + 1] - 0.5 * logn[:jmax + 1] + lg
     return (-1.0) ** sig * op.sign_e(kind, sig) * sign, logs
 
 
 def _slog_sum(signs, logs):
-    """Signed logsumexp of arrays of terms, where a zero term has sign 0 and
-    log -inf; exact cancellation gives (0, -inf)."""
-    m = float(np.max(logs))
+    """(sign, log |sum|, log sum |terms|) of arrays of terms, where a zero term
+    has sign 0 and log -inf; exact cancellation gives sign 0 and log -inf."""
+    m = float(logs.max())
     if m == NEG_INF:
-        return (0.0, NEG_INF)
-    tot = float(np.sum(signs * np.exp(logs - m)))
+        return (0.0, NEG_INF, NEG_INF)
+    terms = np.exp(logs - m)
+    tot, size = float((signs * terms).sum()), float((np.abs(signs) * terms).sum())
+    size = m + math.log(size) if size else NEG_INF
     if tot == 0.0:
-        return (0.0, NEG_INF)
-    return (math.copysign(1.0, tot), m + math.log(abs(tot)))
-
-
-def _bilinear(tables, p1, p2):
-    """(signs, logs) of gamma_{s1-k}/gamma_{s2-k} eta_{s1-k}(y1) eta_{s2-k}(y2)
-    for k = 1..s2, with gamma_j = e_j sqrt(N_j), from one eta table per
-    point.  The terms are products of eta floats, so a cancelling sum keeps
-    its accuracy relative to the terms' size."""
-    proc, s1, s2 = tables.proc, p1.s, p2.s
-    spec = proc.ensemble
-    k = np.arange(1, s2 + 1)
-    prod = tables.eta(p1)[s1 - k] * tables.eta(p2)[s2 - k]
-    # log |gamma_j| = log |e_j| + log N_j / 2
-    (_, n1, e1), (_, n2, e2) = (op.family_constants(proc.family(s), s - 1) for s in (s1, s2))
-    lg = (e1[s1 - k] + 0.5 * n1[s1 - k]) - (e2[s2 - k] + 0.5 * n2[s2 - k])
-    with np.errstate(divide="ignore"):
-        logs = np.where(prod != 0.0, lg + np.log(np.abs(prod)), NEG_INF)
-    # gamma_j has the sign of e_j, (-1)^j for the Gaussian family
-    sign = (-1.0) ** ((s1 + s2) % 2) if spec.kind == op.GAUSSIAN else 1.0
-    return sign * np.sign(prod), logs
+        return (0.0, NEG_INF, size)
+    return (math.copysign(1.0, tot), m + math.log(abs(tot)), size)
 
 
 def _gauge(proc, p1, p2):
@@ -465,14 +452,8 @@ def _gauge(proc, p1, p2):
 MAX_CANCEL = 10.0
 
 
-def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, tables=None):
-    """K(s1,y1;s2,y2) as (sign, log), from the points' tables (new ones by default)."""
-    tables = _Tables(proc) if tables is None else tables
-    if p1.s >= p2.s:
-        sign, lg = _slog_sum(*_bilinear(tables, p1, p2))
-        if sign == 0.0:
-            return (0.0, NEG_INF)
-        return ((-1.0) ** (p1.s - p2.s) * sign, _gauge(proc, p1, p2) + lg)
+def _kernel_slog(tables, p1: SpeciesPoint, p2: SpeciesPoint):
+    """K(s1,y1;s2,y2) as (sign, log), from the points' tables."""
     sides = []
     for lower in (False, True):
         try:
@@ -480,31 +461,31 @@ def _kernel_slog(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint, tables=N
         except NumericError:
             if lower and not sides:
                 raise
-        if sides and sides[0][2] <= MAX_CANCEL:
+        if sides and (sides[0][2] <= MAX_CANCEL or p1.s >= p2.s):
             break
     return min(sides, key=lambda side: side[2])[:2]
 
 
 def _finite_sum(tables, p1, p2, lower):
-    """(sign, log, log cancellation) of K(s1,y1;s2,y2), s1 < s2, as -phi +
-    sum over l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2); the Psi with l > s1
-    are moments over [y1, hi].  With lower they run over [lo, y1]: the sum
-    over the whole support is (y2-y1)^m/m!, m = s2-s1-1, so the first term
-    becomes chi_{y2<y1} (y2-y1)^m/m!, and each moment enters negated."""
+    """(sign, log, log cancellation) of K(s1,y1;s2,y2) as -phi + sum over
+    l = 1..s2 of Psi_{s1-l}(y1) Phi_{s2-l}(y2).  For s1 >= s2, phi is 0 and
+    every Psi is in the table, so both sides are this sum.  For s1 < s2 the
+    Psi with l > s1 are moments over [y1, hi]; with lower over [lo, y1]: the
+    sum over the whole support is (y2-y1)^m/m!, m = s2-s1-1, so the first
+    term becomes chi_{y2<y1} (y2-y1)^m/m!, and each moment enters negated."""
     s1, y1, s2, y2 = p1.s, p1.y, p2.s, p2.y
     sign, lg = _phi_conv_slog(s1, s2, *((y2, y1) if lower else (y1, y2)))
     first = ((-1.0) ** (s2 - s1 - 1) * sign if lower else -sign, lg)
     if s2 == s1 + 1 and y2 == y1:
-        # jump midpoint of the indicator kernel: the value the bilinear
-        # expansion converges to; determinants do not see the difference
+        # jump midpoint of the indicator kernel: the value the expansion in
+        # eigenfunctions converges to; determinants do not see the difference
         first = (0.5 if lower else -0.5, 0.0)
-    psi_s, psi_l = (v[::-1] for v in tables.psi(p1))
-    tail_s, tail_l = tables.tails(p1, s2 - s1, lower)
+    psi_s, psi_l = (v[::-1][:s2] for v in tables.psi(p1))
+    tail_s, tail_l = tables.tails(p1, s2 - s1, lower) if s2 > s1 else np.empty((2, 0))
     phi_s, phi_l = (v[::-1] for v in tables.phi_cap(p2))
     signs = np.concatenate([[first[0]], psi_s, -tail_s if lower else tail_s]) * np.concatenate([[1.0], phi_s])
     logs = np.concatenate([[first[1]], psi_l, tail_l]) + np.concatenate([[0.0], phi_l])
-    sign, lg = _slog_sum(signs, logs)
-    size = _slog_sum(np.abs(signs), logs)[1]
+    sign, lg, size = _slog_sum(signs, logs)
     return sign, lg, (size - lg if sign else (0.0 if size == NEG_INF else math.inf))
 
 
@@ -524,19 +505,17 @@ def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
 
 
 def _entry_F(tables, p1, p2):
-    proc = tables.proc
-    if p1.s >= p2.s:
-        return slog_to_float(*_slog_sum(*_bilinear(tables, p1, p2)))
-    sign, lg = _kernel_slog(proc, p1, p2, tables)
+    """The entry of kernel_F from K: 0 where the weight of species s2 vanishes at y2."""
+    sign, lg = _kernel_slog(tables, p1, p2)
     if sign == 0.0:
         return 0.0
-    return slog_to_float((-1.0) ** (p2.s - p1.s) * sign, lg - _gauge(proc, p1, p2))
+    return slog_to_float((-1.0) ** (p2.s - p1.s) * sign, lg - _gauge(tables.proc, p1, p2))
 
 
 def kernel_K(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> KernelValue:
     """Two-point correlation kernel K(s1,y1;s2,y2)."""
     _check_weights(proc, p1, p2)
-    s, lg = _kernel_slog(proc, p1, p2)
+    s, lg = _kernel_slog(_Tables(proc), p1, p2)
     return KernelValue(slog_to_float(s, lg))
 
 

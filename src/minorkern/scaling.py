@@ -159,7 +159,7 @@ def bead_kernel(cx: int, x: float, cy: int, y: float) -> float:
     beta = math.pi * u
     phi = -0.5 * math.pi * m
     if m >= 0:
-        if abs(m) <= 6:
+        if m <= 6 or abs(beta) >= 0.5 * m:
             c = _poly_osc_integral_01(m, beta)
             return ((-1j) ** m * c).real
         nodes, wts = gl_nodes(0.0, 1.0, 48)

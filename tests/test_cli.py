@@ -76,6 +76,14 @@ class TestExitCodes:
         assert run(args + ["--config", str(cfg)]) == 2
         assert "--N must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_config_N_below_one(self, n, tmp_path, capsys):
+        # a file's N of 0 equals the field's default, yet it is given
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": n}))
+        assert run(["validate", "--suite", "oracle", "--config", str(cfg)]) == 2
+        assert "--N must be >= 1" in capsys.readouterr().err
+
     def test_limit_kernel_range_is_a_usage_error(self, capsys):
         # the Airy kernel takes positions in [-20, 20]
         assert run(["limitcheck", "--regime", "soft", "--ensemble", "gaussian", "--N", "50",

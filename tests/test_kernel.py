@@ -133,7 +133,7 @@ class TestKernel:
         assert val == pytest.approx(2.0, abs=1e-8)
 
     def test_mixed_species_series_example(self):
-        # at the symmetric point every bilinear term carries an odd factor
+        # at the symmetric point every term of the finite sum carries an odd factor
         proc = ProcessSpec(GAUSS, 2)
         v = kernel_K(proc, SpeciesPoint(1, 0.0), SpeciesPoint(2, 0.0)).value
         assert v == pytest.approx(0.0, abs=1e-10)
@@ -180,6 +180,22 @@ class TestKernel:
         kernel_F(proc, SpeciesPoint(4, lo), SpeciesPoint(21, hi))
         assert seen
         assert all(len(op._held_constants(fam)[0][1]) <= 30 for fam in seen)
+
+    def test_entry_builds_each_family_once(self, monkeypatch):
+        # the families of species 10 and 14 (a = 41 and 37) are built once
+        # each, to their tables' degrees, and the base family (a = 1), whose
+        # log |e_k| the tables read, once to degree N - 1
+        op._held_constants.cache_clear()
+        built = []
+        norms = op.log_norm_constant
+
+        def recording(fam, j):
+            built.append((fam.a, np.size(j)))
+            return norms(fam, j)
+
+        monkeypatch.setattr(op, "log_norm_constant", recording)
+        kernel_F(ProcessSpec(LAG, 50), SpeciesPoint(10, 20.0), SpeciesPoint(14, 30.0))
+        assert sorted(built) == [(1.0, 50), (37.0, 14), (41.0, 10)]
 
 
 class TestCorrelation:
@@ -300,15 +316,28 @@ def test_correlation_builds_each_points_tables_once(spec, r, monkeypatch):
 
 
 class TestZeroWeightPoints:
-    """Entries at points where a weight vanishes are built in the K gauge."""
+    """Where the weight of species s2 vanishes at y2, K is the same finite sum
+    as anywhere, a polynomial in y2, and F is 0."""
 
-    @pytest.mark.parametrize("spec,p1,p2,expect", [
+    ZERO_AT_Y2 = [
         (LAG, (1, 1.0), (3, -0.5), -1.4404779368369283),
         (JAC, (2, 0.5), (4, 1.0), 0.12520243971082598),
-    ], ids=["lag-outside-support", "jac-endpoint"])
+        # s1 >= s2: 50-digit values of the finite sum, linear in y2 here; a
+        # line fitted to the entry's values in the support agrees within 2.4e-15
+        (LAG, (3, 0.7), (2, -0.5), -0.12873305679737604),
+        (JAC, (3, 0.4), (2, 1.3), -70.70831736296496),
+        (JAC, (2, 0.4), (2, 1.3), -3.506725552812316),
+    ]
+    ZERO_IDS = ["lag-outside-support", "jac-endpoint", "lag-down", "jac-down", "jac-same-species"]
+
+    @pytest.mark.parametrize("spec,p1,p2,expect", ZERO_AT_Y2, ids=ZERO_IDS)
     def test_kernel_K_value(self, spec, p1, p2, expect):
         v = kernel_K(ProcessSpec(spec, 5), SpeciesPoint(*p1), SpeciesPoint(*p2)).value
         assert v == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("spec,p1,p2", [case[:3] for case in ZERO_AT_Y2], ids=ZERO_IDS)
+    def test_kernel_F_vanishes(self, spec, p1, p2):
+        assert kernel_F(ProcessSpec(spec, 5), SpeciesPoint(*p1), SpeciesPoint(*p2)) == 0.0
 
     @pytest.mark.parametrize("spec", [JAC, op.EnsembleSpec(op.LAGUERRE, a=0.0)], ids=["jac", "lag0"])
     def test_finite_at_zero(self, spec):

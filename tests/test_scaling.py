@@ -146,6 +146,18 @@ class TestBeadKernel:
         ref, _ = integrate.quad(f, 0, 1)
         assert v == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("m,u", [(12, 60.0), (10, 30.0), (40, 13.0)])
+    def test_large_offset_far_from_the_diagonal_vs_mpmath(self, m, u):
+        # |beta| >= m/2 takes the upward recursion; a 48-node rule was 80% off
+        # at (12, 60)
+        import mpmath
+
+        beta = math.pi * u
+        with mpmath.workdps(40):
+            ref = float(mpmath.quad(lambda s: s**m * mpmath.cos(mpmath.mpf(beta) * s - mpmath.pi * m / 2),
+                                    mpmath.linspace(0, 1, 80)))
+        assert bead_kernel(0, u, m, 0.0) == pytest.approx(ref, rel=1e-13)
+
     @pytest.mark.parametrize("m", range(-12, -6))
     @pytest.mark.parametrize("x,y", [(0.2, 0.0), (0.61, 0.0), (0.2, -9.0), (-1.3, 2.4)])
     def test_far_negative_offsets_vs_expint(self, m, x, y):

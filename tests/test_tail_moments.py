@@ -5,7 +5,9 @@ Jacobi weights, quad for Laguerre with a non-integer exponent at x > 0) and
 the lower moments integral_lo^x (reflection for the Gaussian weight, Kummer's
 series for Laguerre, the mirror series for Jacobi, none of them quad); and the
 accuracy of those entries against a 50-digit reference, wherever y1 lies,
-which holds the rule that takes the side of y1 whose finite sum cancels less."""
+which holds the rule that takes the side of y1 whose finite sum cancels less;
+and the entries with s1 >= s2, whose finite sum needs no moment, against a
+50-digit sum of eta products."""
 
 import math
 
@@ -210,48 +212,53 @@ def poly_table_mp(kind, al, be, y, n):
     return out
 
 
+def family_mp(spec):
+    """(w, norm, e) at the working precision: the weight w(sh, y) and the
+    squared norm norm(j, sh) of the family of shift sh, and the Rodrigues
+    constant e(j): H_j with e_j = (-1)^j, L_j^(a) or P_j^(a,b)(1-2y) with
+    e_j = j!."""
+    a, b = mpmath.mpf(spec.a), mpmath.mpf(spec.b)
+    if spec.kind == op.GAUSSIAN:
+        def w(sh, y):
+            return mpmath.exp(-y * y)
+
+        def norm(j, sh):
+            return 2 ** j * mpmath.factorial(j) * mpmath.sqrt(mpmath.pi)
+
+        def e(j):
+            return (-1) ** j
+
+        return w, norm, e
+    if spec.kind == op.LAGUERRE:
+        def w(sh, y):
+            return y ** (a + sh) * mpmath.exp(-y)
+
+        def norm(j, sh):
+            return mpmath.gamma(j + a + sh + 1) / mpmath.factorial(j)
+    else:
+        def w(sh, y):
+            return y ** (a + sh) * (1 - y) ** (b + sh)
+
+        def norm(j, sh):
+            aa, bb = a + sh, b + sh
+            return (mpmath.gamma(j + aa + 1) * mpmath.gamma(j + bb + 1)
+                    / (mpmath.factorial(j) * (2 * j + aa + bb + 1) * mpmath.gamma(j + aa + bb + 1)))
+    return w, norm, mpmath.factorial
+
+
 def up_entry_mp(spec, N, s1, y1, s2, y2):
     """kernel_F entry for s1 < s2 at 50 digits: -phi + sum over l of
     Psi_{s1-l}(y1) Phi_{s2-l}(y2), with Psi from its defining convolution
     (1/k!) integral_x w(y) p_{N-s1+j}(y) (y-x)^k dy, k = N-s1-1, and
-    Phi_j = (e_{sig+j}/e_j) p_j / N_j in the family of shift sig = N-s2
-    (H_j with e_j = (-1)^j; L_j^(a) or P_j^(a,b)(1-2y) with e_j = j!), in
-    the sqrt-weight gauge."""
+    Phi_j = (e_{sig+j}/e_j) p_j / N_j in the family of shift sig = N-s2,
+    in the sqrt-weight gauge."""
     with mpmath.workdps(50):
         a, b, y1, y2 = mpmath.mpf(spec.a), mpmath.mpf(spec.b), mpmath.mpf(y1), mpmath.mpf(y2)
         k, sig = N - s1 - 1, N - s2
-        if spec.kind == op.GAUSSIAN:
-            def w(sh, y):
-                return mpmath.exp(-y * y)
-
-            def norm(j, sh):
-                return 2 ** j * mpmath.factorial(j) * mpmath.sqrt(mpmath.pi)
-
-            def e_ratio(j):
-                return (-1) ** sig
-
-            panels = [y1, y1 + 0.5, y1 + 1, y1 + 2, y1 + 4, y1 + 8, mpmath.inf]
-        elif spec.kind == op.LAGUERRE:
-            def w(sh, y):
-                return y ** (a + sh) * mpmath.exp(-y)
-
-            def norm(j, sh):
-                return mpmath.gamma(j + a + sh + 1) / mpmath.factorial(j)
-
-            panels = [y1, y1 + 5, y1 + 20, y1 + 60, mpmath.inf]
-        else:
-            def w(sh, y):
-                return y ** (a + sh) * (1 - y) ** (b + sh)
-
-            def norm(j, sh):
-                aa, bb = a + sh, b + sh
-                return (mpmath.gamma(j + aa + 1) * mpmath.gamma(j + bb + 1)
-                        / (mpmath.factorial(j) * (2 * j + aa + bb + 1) * mpmath.gamma(j + aa + bb + 1)))
-
-            panels = mpmath.linspace(y1, 1, 8)
-        if spec.kind != op.GAUSSIAN:
-            def e_ratio(j):
-                return mpmath.factorial(sig + j) / mpmath.factorial(j)
+        w, norm, e = family_mp(spec)
+        panels = ([y1, y1 + 0.5, y1 + 1, y1 + 2, y1 + 4, y1 + 8, mpmath.inf] if spec.kind == op.GAUSSIAN
+                  else [y1, y1 + 5, y1 + 20, y1 + 60, mpmath.inf] if spec.kind == op.LAGUERRE
+                  else mpmath.linspace(y1, 1, 8))
         nodes = {}
 
         def psi_mp(j):
@@ -267,12 +274,28 @@ def up_entry_mp(spec, N, s1, y1, s2, y2):
         phi_poly = poly_table_mp(spec.kind, a + sig, b + sig, y2, N)
 
         def phi_mp(j):
-            return (-1) ** sig * e_ratio(j) * phi_poly[j] / norm(j, sig)
+            return (-1) ** sig * e(sig + j) / e(j) * phi_poly[j] / norm(j, sig)
 
         m = s2 - s1 - 1
         phi_conv = (y2 - y1) ** m / mpmath.factorial(m) if y2 > y1 else 0
         kval = -phi_conv + mpmath.fsum(psi_mp(s1 - l) * phi_mp(s2 - l) for l in range(1, s2 + 1))
         return float((-1) ** (s2 - s1) * kval * mpmath.sqrt(w(N - s2, y2) / w(N - s1, y1)))
+
+
+def down_entry_mp(spec, N, s1, y1, s2, y2):
+    """kernel_F entry for s1 >= s2 at 50 digits: the sum over k = 1..s2 of
+    gamma_{s1-k}/gamma_{s2-k} eta_{s1-k}(y1) eta_{s2-k}(y2), with
+    gamma_j = e_j sqrt(N_j) and eta_j = sqrt(w/N_j) p_j in the family of
+    each point's species."""
+    with mpmath.workdps(50):
+        a, b, y1, y2 = mpmath.mpf(spec.a), mpmath.mpf(spec.b), mpmath.mpf(y1), mpmath.mpf(y2)
+        sh1, sh2 = N - s1, N - s2
+        w, norm, e = family_mp(spec)
+        p1 = poly_table_mp(spec.kind, a + sh1, b + sh1, y1, s1)
+        p2 = poly_table_mp(spec.kind, a + sh2, b + sh2, y2, s2)
+        total = mpmath.fsum(e(s1 - k) / e(s2 - k) * p1[s1 - k] * p2[s2 - k] / norm(s2 - k, sh2)
+                            for k in range(1, s2 + 1))
+        return float(total * mpmath.sqrt(w(sh1, y1) * w(sh2, y2)))
 
 
 def test_reference_polynomials_match_mpmath():
@@ -328,10 +351,10 @@ LAG0, LAG1, LAG_HALF = (op.EnsembleSpec(op.LAGUERRE, a=a) for a in (0.0, 1.0, -0
 
 
 def scaled_error(spec, N, s1, y1, s2, y2):
-    """|kernel_F - up_entry_mp| over the entry's scale max(|F|, sqrt|F11 F22|)."""
+    """|kernel_F - its 50-digit reference| over the entry's scale max(|F|, sqrt|F11 F22|)."""
     proc = ProcessSpec(spec, N)
     p1, p2 = SpeciesPoint(s1, y1), SpeciesPoint(s2, y2)
-    ref = up_entry_mp(spec, N, s1, y1, s2, y2)
+    ref = (up_entry_mp if s1 < s2 else down_entry_mp)(spec, N, s1, y1, s2, y2)
     scale = max(abs(ref), math.sqrt(abs(kernel_F(proc, p1, p1) * kernel_F(proc, p2, p2))))
     return abs(kernel_F(proc, p1, p2) - ref) / scale
 
@@ -392,6 +415,40 @@ def test_seeded_sweep_of_up_entries_against_mpmath():
                 errors[spec, N, s1, y1, s2, y2] = scaled_error(spec, N, s1, y1, s2, y2)
     worst = max(errors, key=errors.get)
     assert len(errors) == 45 and errors[worst] < 1e-12, (worst, errors[worst])
+
+
+JAC_NEG = op.EnsembleSpec(op.JACOBI, a=-0.5, b=-0.3)
+
+
+def test_seeded_sweep_of_down_entries_against_mpmath():
+    # for each of five weights at N = 10 and 50, fifteen entries with
+    # s1 >= s2: y1 below, in or above the bulk of species s1 and y2 in the
+    # bulk of species s2; 150 entries
+    rng = np.random.default_rng(2026)
+    errors = {}
+    for spec in (GAUSS, LAG1, LAG_HALF, JAC, JAC_NEG):
+        for N in (10, 50):
+            proc = ProcessSpec(spec, N)
+            for _ in range(15):
+                s2 = int(rng.integers(1, N + 1))
+                s1 = int(rng.integers(s2, N + 1))
+                y1 = _place(rng, spec.kind, *_bulk(proc, s1), ("below", "in", "above")[int(rng.integers(3))])
+                y2 = rng.uniform(*_bulk(proc, s2))
+                errors[spec, N, s1, y1, s2, y2] = scaled_error(spec, N, s1, y1, s2, y2)
+    worst = max(errors, key=errors.get)
+    assert len(errors) == 150 and errors[worst] < 1e-11, (worst, errors[worst])
+
+
+def test_cancelling_down_entry_keeps_the_accuracy_of_its_terms():
+    # y1 above the bulk, 2.2e-4 from the endpoint where the top species'
+    # weight is singular: the terms reach e^9.1 times the sum, so their
+    # rounding leaves the entry 8e-11 of its scale off, yet within 1e-13 of
+    # the terms' size
+    proc = ProcessSpec(JAC_NEG, 50)
+    p1, p2 = SpeciesPoint(50, 0.9997770581379035), SpeciesPoint(45, 0.2620997144721804)
+    ref = down_entry_mp(JAC_NEG, 50, 50, p1.y, 45, p2.y)
+    cancel = kernel_mod._finite_sum(kernel_mod._Tables(proc), p1, p2, False)[2]
+    assert abs(kernel_F(proc, p1, p2) - ref) < 1e-13 * abs(ref) * math.exp(cancel)
 
 
 @pytest.mark.parametrize("x", GAUSS_X)
