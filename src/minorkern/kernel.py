@@ -10,11 +10,12 @@ double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.special import gammaln
 
 from . import orthopoly as op
@@ -79,12 +80,15 @@ def _memo(build):
 
 class _Tables:
     """The tables of the points of one kernel matrix, each built once: a point's
-    Psi and Phi tables to degree s-1, and its tail moments per gap and side."""
+    Psi and Phi tables to degree s-1, and its tail moments per gap and side.
+    A point in shared needs both of its tables, which one recurrence gives."""
 
-    def __init__(self, proc: ProcessSpec):
+    def __init__(self, proc: ProcessSpec, shared=()):
         self.proc = proc
-        self.psi = _memo(lambda p: _psi_table(proc, p.s, p.y, op.eta_table(proc.family(p.s), p.s - 1, p.y)))
-        self.phi_cap = _memo(lambda p: _phi_cap_table(proc, p.s, p.s - 1, p.y))
+        both = _memo(lambda p: op.eta_poly_tables(proc.family(p.s), p.s - 1, p.y))
+        self.psi = _memo(lambda p: _psi_table(proc, p.s, p.y, both(p)[0] if p in shared
+                                              else op.eta_table(proc.family(p.s), p.s - 1, p.y)))
+        self.phi_cap = _memo(lambda p: _phi_cap_table(proc, p.s, p.s - 1, p.y, both(p)[1] if p in shared else None))
         self.tails = _memo(lambda p, M, lower: _psi_tails(proc, p.s, M, p.y, lower))
 
 
@@ -230,7 +234,10 @@ def _laguerre_tail_moments(a, m, x: float) -> np.ndarray:
     """log of integral_max(x,0)^inf (y-x)^m y^a e^{-y} dy over arrays a, m of
     one length.  For x <= 0 it is sum_k C(m,k) (-x)^(m-k) Gamma(a+k+1), and
     for x > 0 and an integer a, e^{-x} sum_k C(a,k) x^(a-k) Gamma(m+k+1): both
-    sums of positive terms, summed in one array; the other rows take quad."""
+    sums of positive terms, summed in one array.  The other rows take
+    _laguerre_rule, and those it leaves uncertified the full moment minus
+    (-1)^m times the lower one (_difference); a row neither route certifies
+    raises NumericError."""
     out = np.full(np.shape(m), NEG_INF)
     if x == math.inf:
         return out
@@ -242,8 +249,60 @@ def _laguerre_tail_moments(a, m, x: float) -> np.ndarray:
         _, logs = _binomial_terms(n[r], x, lambda k: gammaln(c[r, None] + k + 1.0))
         top = logs.max(axis=1)
         out[r] = top + np.log(np.exp(logs - top[:, None]).sum(axis=1)) - max(x, 0.0)
-    for i in np.flatnonzero(~closed):
-        out[i] = _laguerre_quad(a[i], int(m[i]), x)
+    rows = np.flatnonzero(~closed)
+    if len(rows):
+        out[rows] = _laguerre_rule(a[rows], m[rows], x)
+        short = rows[np.isnan(out[rows])]
+        if len(short):
+            nk, logs = _binomial_terms(m[short], x, lambda k: gammaln(a[short, None] + k + 1.0))
+            out[short] = _difference(np.where(nk % 2, -1.0, 1.0), logs, m[short],
+                                     _laguerre_lower_moments(a[short], m[short], x))
+        if np.isnan(out).any():
+            raise NumericError(f"Laguerre tail moments uncertified at x={x}: the Gauss-Laguerre rules "
+                               f"disagree and the difference route cancels")
+    return out
+
+
+# generalized Gauss-Laguerre rules of LAG_NODES nodes, each twice the one
+# before: a row takes the first rule that agrees with the one before it to
+# TAIL_RTOL in the log.  At most LAG_RULES rules are kept
+LAG_NODES = (64, 128, 256)
+LAG_RULES = 256
+
+
+@functools.lru_cache(maxsize=LAG_RULES)
+def _genlaguerre_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r and log weights of the n-node Gauss rule for the weight
+    u^m e^{-u} on [0, inf): the eigenvalues of its Jacobi matrix
+    (Golub-Welsch), one Newton step on L_n^(m), and the weights, which are
+    proportional to 1 / (r L_n^(m)'(r)^2), L_n^(m)' = -L_{n-1}^(m+1), scaled
+    to sum to m!; in log form, which no m overflows."""
+    k = np.arange(1.0, n)
+    r = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + m + 1.0) + np.diag(np.sqrt(k * (k + m)), -1))
+    r += special.eval_genlaguerre(n, m, r) / special.eval_genlaguerre(n - 1, m + 1.0, r)
+    lw = -np.log(r) - 2.0 * np.log(np.abs(special.eval_genlaguerre(n - 1, m + 1.0, r)))
+    top = lw.max()
+    return r, lw - top - math.log(np.exp(lw - top).sum()) + math.lgamma(m + 1.0)
+
+
+def _laguerre_rule(a, m, x: float) -> np.ndarray:
+    """log of integral_x^inf (y-x)^m y^a e^{-y} dy = e^{-x} integral_0^inf
+    u^m (x+u)^a e^{-u} du for x > 0 by rows, from the rules for u^m e^{-u}
+    (LAG_NODES) applied to (x+u)^a; NaN on rows that no two rules certify.
+    Near x = 0 the factor's singularity at u = -x sits close to the nodes."""
+    out, rows, prev = np.full(len(m), np.nan), np.arange(len(m)), None
+    for n in LAG_NODES:
+        r, lw = map(np.array, zip(*(_genlaguerre_rule(n, int(k)) for k in m[rows])))
+        terms = lw + a[rows, None] * np.log(x + r)
+        top = terms.max(axis=1)
+        cur = top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - x
+        if prev is not None:
+            ok = np.abs(cur - prev) <= TAIL_RTOL
+            out[rows[ok]] = cur[ok]
+            rows, cur = rows[~ok], cur[~ok]
+            if not len(rows):
+                break
+        prev = cur
     return out
 
 
@@ -293,7 +352,8 @@ def _jacobi_tail_moments(a, b, m, x: float) -> np.ndarray:
     out = _pfaff_series(a, b, m, math.log(x), math.log1p(-x))
     short = np.isnan(out)
     if short.any():
-        out[short] = _jacobi_difference(a[short], b[short], m[short], x)
+        out[short] = _difference(*_jacobi_binomial(a[short], b[short], m[short], x), m[short],
+                                 _jacobi_lower_moments(a[short], b[short], m[short], x))
     if np.isnan(out).any():
         raise NumericError(f"Jacobi tail moments uncertified at x={x}: the series needs more than "
                            f"{HYP_MAX_TERMS} terms and the difference route cancels")
@@ -366,12 +426,10 @@ def _jacobi_binomial(a, b, m, x):
     return np.where(nk % 2, -1.0, 1.0) if x > 0.0 else np.ones_like(logs), logs
 
 
-def _jacobi_difference(a, b, m, x):
-    """log of the upper moment as the full moment minus (-1)^m times the lower
-    moment integral_0^x (x-y)^m y^a (1-y)^b dy, for rows with 0 < x < 1; NaN
-    on rows whose cancellation leaves it short of TAIL_RTOL."""
-    low = _jacobi_lower_moments(a, b, m, x)
-    signs, logs = _jacobi_binomial(a, b, m, x)
+def _difference(signs, logs, m, low):
+    """log of an upper moment as the full moment, given by rows of its terms
+    (signs, logs), minus (-1)^m times the lower moment, log low; NaN on rows
+    whose cancellation leaves it short of TAIL_RTOL."""
     signs = np.column_stack([signs, (-1.0) ** (m + 1.0)])
     logs = np.column_stack([logs, low])
     out = np.full(m.shape, np.nan)
@@ -391,25 +449,6 @@ def _jacobi_lower_moments(a, b, m, x: float) -> np.ndarray:
     return _pfaff_series(b, a, m, math.log1p(-x), math.log(x))
 
 
-def _laguerre_quad(a: float, m: int, x: float) -> float:
-    """log of integral_x^inf (y-x)^m y^a e^{-y} dy for x > 0 by quad over
-    u = y - x, scaled by the integrand's peak; raises NumericError past 1e-8."""
-    def logf(u):
-        with np.errstate(divide="ignore"):
-            return (m * np.log(u) if m else 0.0) + a * np.log(x + u) - x - u
-
-    # the one peak in u >= 0, where m/u + a/(x+u) = 1 (or u = 0)
-    mx = logf(0.5 * (m + a - x + math.sqrt((x - m - a) ** 2 + 4.0 * m * x)))
-    val, err = integrate.quad(lambda u: np.exp(logf(u) - mx), 0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=300)
-    if val <= 0.0:
-        return NEG_INF
-    if err > 1e-8 * val:
-        raise NumericError(
-            f"tail integral did not converge: rel err {err / val:.2e} at m={m}, x={x}"
-        )
-    return mx + math.log(val)
-
-
 def phi_cap(proc: ProcessSpec, n: int, j: int, x: float) -> float:
     """Phi_j^n(x): polynomial dual to Psi_k^n under integration over the support."""
     if not 0 <= j <= n - 1:
@@ -418,11 +457,11 @@ def phi_cap(proc: ProcessSpec, n: int, j: int, x: float) -> float:
     return slog_to_float(float(signs[j]), float(logs[j]))
 
 
-def _phi_cap_table(proc, n, jmax, x):
-    """(signs, logs) of Phi_j^n(x) for j = 0..jmax, from one log_poly_table;
-    finite outside the support too."""
+def _phi_cap_table(proc, n, jmax, x, poly=None):
+    """(signs, logs) of Phi_j^n(x) for j = 0..jmax, from one log_poly_table
+    (poly, when given); finite outside the support too."""
     fam, sig, kind = proc.family(n), proc.N - n, proc.ensemble.kind
-    sign, lg = op.log_poly_table(fam, jmax, x)
+    sign, lg = op.log_poly_table(fam, jmax, x) if poly is None else poly
     logn, loge = op.family_constants(fam, jmax)[1], op.family_constants(proc.ensemble, proc.N - 1)[2]
     logs = loge[sig:sig + jmax + 1] - loge[:jmax + 1] - 0.5 * logn[:jmax + 1] + lg
     return (-1.0) ** sig * op.sign_e(kind, sig) * sign, logs
@@ -501,7 +540,7 @@ def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:
 def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
     """Kernel in the symmetric sqrt-weight gauge; same determinants as kernel_K."""
     _check_weights(proc, p1, p2)
-    return _entry_F(_Tables(proc), p1, p2)
+    return _entry_F(_Tables(proc, {p1} if p1 == p2 else ()), p1, p2)
 
 
 def _entry_F(tables, p1, p2):
@@ -515,7 +554,7 @@ def _entry_F(tables, p1, p2):
 def kernel_K(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> KernelValue:
     """Two-point correlation kernel K(s1,y1;s2,y2)."""
     _check_weights(proc, p1, p2)
-    s, lg = _kernel_slog(_Tables(proc), p1, p2)
+    s, lg = _kernel_slog(_Tables(proc, {p1} if p1 == p2 else ()), p1, p2)
     return KernelValue(slog_to_float(s, lg))
 
 
@@ -528,7 +567,7 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
         raise ValueError("duplicate (species, position) pairs are not allowed")
     _check_weights(proc, *points)
     # every entry reads its points' tables, which are built once
-    tables = _Tables(proc)
+    tables = _Tables(proc, set(points))
     mat = np.array([[_entry_F(tables, pi, pj) for pj in points] for pi in points])
     if not (mat.any(axis=0).all() and mat.any(axis=1).all()):
         return 0.0  # a point where its species' weight vanishes zeroes its row or column

@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-__all__ = ["NumericError", "NEG_INF", "slog_to_float", "interlaced", "gauss_legendre", "gl_nodes"]
+__all__ = ["NumericError", "NEG_INF", "slog_to_float", "interlaced", "gauss_legendre", "gl_nodes",
+           "clenshaw_curtis"]
 
 
 class NumericError(RuntimeError):
@@ -46,3 +47,20 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+_CC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached Clenshaw-Curtis nodes cos(pi k / n), k = 0..n, and weights on
+    [-1, 1] for an even n: exact for polynomials of degree <= n, and the rule
+    for n takes every other node of the rule for 2n."""
+    if n not in _CC_CACHE:
+        theta = np.pi * np.arange(n + 1) / n
+        j = np.arange(1, n // 2 + 1)
+        b = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+        w = (1.0 - np.cos(2.0 * np.outer(theta, j)) @ b) * 2.0 / n
+        w[[0, -1]] *= 0.5
+        _CC_CACHE[n] = np.cos(theta), w
+    return _CC_CACHE[n]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ __all__ = [
     "eval_eta",
     "eta_table",
     "log_poly_table",
+    "eta_poly_tables",
     "family_constants",
     "gauss_weight_nodes",
     "airy",
@@ -182,24 +184,29 @@ def _recurrence(coeffs, x, offset):
         yield u, offset
 
 
-def _float_rows(coeffs, x: float, offset: float):
+def _float_rows(coeffs, x: float, offset: float, *more: float):
     """(u_k, offset_k) of _recurrence at one float x, by the same operations on
-    Python floats, so with the same bits; offset_k is one float until a rescale."""
-    offset = float(offset)
+    Python floats, so with the same bits; offset_k is one float until a rescale.
+    Each start offset in more gets its own offset_k from the same run, added
+    to the tuple: the same rescalings, accumulated in the same order."""
     u, u_prev = (0.0 if offset == -math.inf else 1.0), 0.0
     x = x if u else 0.0
-    us, offsets, starts = array("d", [u]), [offset], [0]
+    us, logs, starts = array("d", [u]), [], [0]
     for a, b, c in zip(*map(memoryview, coeffs)):
         u_prev, u = u, (a * x + b) * u - c * u_prev
         # |u_prev| <= 1e250 since the step before, so the pair is in range while |u| is
         if not 1e-250 <= abs(u) <= 1e250:
             mag = max(abs(u), abs(u_prev))
             if mag > 1e250 or (mag < 1e-250 and mag != 0.0):
-                u, u_prev, offset = u / mag, u_prev / mag, offset + float(np.log(mag))
-                offsets.append(offset)
+                u, u_prev = u / mag, u_prev / mag
+                logs.append(float(np.log(mag)))
                 starts.append(len(us))
         us.append(u)
-    return np.frombuffer(us), offset if len(starts) == 1 else np.repeat(offsets, np.diff(starts + [len(us)]))
+    if not logs:
+        return (np.frombuffer(us), float(offset), *map(float, more))
+    counts = np.diff(starts + [len(us)])
+    return (np.frombuffer(us),
+            *(np.repeat(list(itertools.accumulate(logs, initial=float(off))), counts) for off in (offset, *more)))
 
 
 def _exp_or_zero(offset, val):
@@ -300,7 +307,10 @@ def log_poly_table(fam: EnsembleSpec, kmax: int, x: float) -> tuple[np.ndarray, 
     support or outside it; sign 0 (log -inf) marks an exact zero.
     """
     coeffs, logn, _ = family_constants(fam, kmax)
-    u, offset = _float_rows(coeffs[:, :kmax], float(x), -0.5 * logn[0])
+    return _log_rows(*_float_rows(coeffs[:, :kmax], float(x), -0.5 * logn[0]))
+
+
+def _log_rows(u, offset):
     with np.errstate(divide="ignore"):
         return np.sign(u), offset + np.log(np.abs(u))
 
@@ -323,6 +333,20 @@ def eta_table(fam: EnsembleSpec, kmax: int, x) -> np.ndarray:
     for k, (u, off) in enumerate(_recurrence(coeffs, x, offset)):
         out[k] = _exp_or_zero(off, u)
     return out
+
+
+def eta_poly_tables(fam: EnsembleSpec, kmax: int, x: float):
+    """eta_table(fam, kmax, x) and log_poly_table(fam, kmax, x), bit for bit,
+    from one recurrence where the weight is nonzero at x: there the two runs
+    differ only in their start offsets.  Where it vanishes the eta run steps
+    x as 0, and the two run apart."""
+    x = float(x)
+    coeffs, logn, _ = family_constants(fam, kmax)
+    coeffs, offset = coeffs[:, :kmax], 0.5 * log_weight(fam, x) - 0.5 * logn[0]
+    if offset == -math.inf:
+        return eta_table(fam, kmax, x), log_poly_table(fam, kmax, x)
+    u, eta_off, poly_off = _float_rows(coeffs, x, offset, -0.5 * logn[0])
+    return _exp_or_zero(eta_off, u), _log_rows(u, poly_off)
 
 
 def eval_eta(fam: EnsembleSpec, k: int, x):

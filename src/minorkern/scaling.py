@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import orthopoly as op
 from .kernel import ProcessSpec, SpeciesPoint, kernel_F
-from .numerics import NumericError, gl_nodes
+from .numerics import NumericError, clenshaw_curtis, gl_nodes
 
 __all__ = [
     "SOFT_FIXED",
@@ -92,19 +92,77 @@ def airy_kernel(x: float, y: float) -> float:
     return aip * aip - m * ai * ai + 0.25 * h * h * taylor2
 
 
+# _airy_integral's rule: nested Clenshaw-Curtis rules of AIRY_NODES and
+# 2 AIRY_NODES intervals on panels of [0, U].  The integrand is at most e^L(u)
+# (_airy_panels); U is where L has fallen AIRY_DROP below its top, and a panel
+# spans at most AIRY_SPAN of L, AIRY_PHASE radians of the two factors'
+# oscillation and AIRY_WIDTH in u, up to AIRY_MAX_PANELS panels.  The two
+# rules must agree to max(AIRY_ABS, AIRY_REL |value|)
+AIRY_NODES = 32
+AIRY_DROP, AIRY_SPAN, AIRY_PHASE, AIRY_WIDTH, AIRY_MAX_PANELS = 40.0, 40.0, 16.0, 20.0, 256
+AIRY_ABS, AIRY_REL = 1e-13, 1e-11
+
+
 def _airy_integral(tau: float, x: float, y: float, d: float = 1.0) -> float:
-    """int_0^inf e^(-tau u) Ai(x + d u) Ai(y + d u) du for d = +-1.  Raises
-    NumericError when quad's error estimate exceeds the requested accuracy."""
-    # e^(-tau u) is capped at e^700 to keep inf * 0 out of quad's
-    # infinite-range map.  The cap binds only for tau < 0 past u = 700/|tau|
-    # >= 70, which extended_airy integrates only while the whole-line
-    # integral is at most 100, so the integrand has long decayed there
-    f = lambda u: math.exp(min(-tau * u, 700.0)) * special.airy(x + d * u)[0] * special.airy(y + d * u)[0]
-    epsabs, epsrel = 1e-13, 1e-11
-    val, err = integrate.quad(f, 0.0, np.inf, epsabs=epsabs, epsrel=epsrel, limit=1000, full_output=1)[:2]
-    if not err <= max(epsabs, epsrel * abs(val)):
-        raise NumericError(f"Airy integral at tau={tau}, x={x}, y={y}: error estimate {err:.1e}")
+    """int_0^inf e^(-tau u) Ai(x + d u) Ai(y + d u) du for d = +-1, by the
+    panel rule above in one airy call; raises NumericError when the coarse
+    and the fine rule differ by more than the requested accuracy."""
+    edges = _airy_panels(tau, x, y, d)
+    fine, wf = clenshaw_curtis(2 * AIRY_NODES)
+    wc = clenshaw_curtis(AIRY_NODES)[1]
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (fine + 1.0)).ravel()
+    ai = special.airy(x + d * u if x == y else np.concatenate([x + d * u, y + d * u]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = (np.exp(-tau * u) * ai[:u.size] * ai[-u.size:]).reshape(half.shape[0], -1) * half
+        val, coarse = float((f @ wf).sum()), float((f[:, ::2] @ wc).sum())
+    if not abs(val - coarse) <= max(AIRY_ABS, AIRY_REL * abs(val)):
+        raise NumericError(f"Airy integral at tau={tau}, x={x}, y={y}, d={d}: the {AIRY_NODES}- and "
+                           f"{2 * AIRY_NODES}-interval rules differ by {abs(val - coarse):.1e}")
     return val
+
+
+def _airy_panels(tau, x, y, d):
+    """Panel edges on [0, U] for _airy_integral.  With z = max(0, x + d u)
+    and likewise for y, |Ai(z)| <= min(1, e^(-(2/3) z^(3/2))) bounds the
+    integrand by e^L, L(u) = -tau u - (2/3) (z_x^(3/2) + z_y^(3/2)), which is
+    concave: it rises to one top and falls from there on."""
+    def L(u):  # (L, L')
+        zx, zy = max(0.0, x + d * u), max(0.0, y + d * u)
+        return -tau * u - (zx * math.sqrt(zx) + zy * math.sqrt(zy)) / 1.5, -tau - d * (math.sqrt(zx) + math.sqrt(zy))
+
+    # the top solves sqrt(x + w) + sqrt(y + w) = c, u = d w, c = -d tau; past
+    # c^2 = |x - y| only the larger of x + w, y + w is positive there
+    top, c, delta = 0.0, -d * tau, x - y
+    if c > 0.0:
+        top = max(0.0, d * (((c + delta / c) / 2.0) ** 2 - x if c * c >= abs(delta) else c * c - max(x, y)))
+    level = L(top)[0] - AIRY_DROP
+    # Newton on L(u) = level from past the top, where L' < 0: L is concave, so
+    # every step after the first lands at or past the root, and U errs long
+    U = max(top, -min(x, y) if d > 0 else 0.0) + 1.0
+    for _ in range(16):
+        val, slope = L(U)
+        if val <= level and val - level >= 1e-3 * slope:
+            break
+        U -= (val - level) / slope
+
+    def rate(u):  # radians per unit u of Ai(x + d u) Ai(y + d u) where it oscillates
+        return math.sqrt(max(0.0, -(x + d * u))) + math.sqrt(max(0.0, -(y + d * u)))
+
+    def span(a, b):  # the range of L over [a, b]
+        return L(min(max(top, a), b))[0] - min(L(a)[0], L(b)[0])
+
+    edges = [0.0]
+    while edges[-1] < U:
+        if len(edges) > AIRY_MAX_PANELS:
+            raise NumericError(f"Airy integral at tau={tau}, x={x}, y={y}, d={d}: "
+                               f"more than {AIRY_MAX_PANELS} panels up to u={U:.3g}")
+        a = edges[-1]
+        b = min(U, a + AIRY_WIDTH)
+        while (b - a) * max(rate(a), rate(b)) > AIRY_PHASE or span(a, b) > AIRY_SPAN:
+            b = a + 0.75 * (b - a)
+        edges.append(b)
+    return np.array(edges)
 
 
 def extended_airy(tau_x: float, x: float, tau_y: float, y: float) -> float:

@@ -391,11 +391,22 @@ def test_readme_shows_every_subcommand():
     assert sorted(argv[0] for argv in _readme_commands()) == sorted(cli._COMMANDS)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about 0.4 s and 20 MB of start-up, and no command needs it
+def _loaded_by_cli_import(module):
+    """Whether a fresh `import minorkern.cli` loads the module."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, minorkern.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, minorkern.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.4 s and 20 MB of start-up, and no command needs it
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate brings scipy.optimize, linalg and sparse: about 0.25 s and
+    # 26 MB of start-up; the package's integrals are its own fixed rules
+    assert not _loaded_by_cli_import("scipy.integrate")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minorkern.numerics import interlaced
+from minorkern.numerics import clenshaw_curtis, interlaced
 
 
 class TestInterlaced:
@@ -34,3 +34,14 @@ class TestInterlaced:
         for outer, inner in (([3.0, 1.0], [2.0, 0.5]), ([3.0, 2.0, 1.0], [2.5]), ([], [])):
             with pytest.raises(ValueError):
                 interlaced(outer, inner)
+
+
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", [2, 8, 32, 64])
+    def test_exact_for_polynomials_to_degree_n(self, n):
+        x, w = clenshaw_curtis(n)
+        for k in range(n + 1):
+            assert w @ x**k == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-15)
+
+    def test_rule_for_n_takes_every_other_node_of_2n(self):
+        assert np.array_equal(clenshaw_curtis(32)[0], clenshaw_curtis(64)[0][::2])

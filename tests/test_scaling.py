@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -27,6 +28,51 @@ from minorkern.scaling import (
 
 GAUSS = op.EnsembleSpec(op.GAUSSIAN)
 LAG0 = op.EnsembleSpec(op.LAGUERRE, a=0.0)
+
+
+def _gl16_mp():
+    """16-point Gauss-Legendre (node, weight) pairs on [-1, 1] at 40 digits,
+    by Newton's method on P_16 from the usual cosine guesses."""
+    with mpmath.workdps(40):
+        rule = []
+        for k in range(1, 17):
+            r = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (16 + mpmath.mpf(1) / 2))
+            for _ in range(8):
+                r -= mpmath.legendre(16, r) / mpmath.diff(lambda t: mpmath.legendre(16, t), r)
+            rule.append((r, 2 / ((1 - r * r) * mpmath.diff(lambda t: mpmath.legendre(16, t), r) ** 2)))
+        return rule
+
+
+GL16_MP = _gl16_mp()
+
+
+def airy_integral_mp(tau, x, y, d):
+    """int_0^inf e^(-tau u) Ai(x + d u) Ai(y + d u) du at 30 digits: the
+    16-point rule on panels of width at most 1 and 3 / (the oscillation
+    rate), out to where the bound e^(-tau u) e^(-(2/3) z^(3/2)) per factor
+    has fallen 75 below its largest value."""
+    with mpmath.workdps(30):
+        tau, x, y = mpmath.mpf(tau), mpmath.mpf(x), mpmath.mpf(y)
+
+        def log_bound(u):
+            zx, zy = max(0, x + d * u), max(0, y + d * u)
+            return -tau * u - (zx**1.5 + zy**1.5) * 2 / 3
+
+        def rate(u):
+            return mpmath.sqrt(max(0, -(x + d * u))) + mpmath.sqrt(max(0, -(y + d * u)))
+
+        U, top = 0, log_bound(0)
+        while log_bound(U) >= top - 75 or (d > 0 and U < -min(x, y)):
+            U += 1
+            top = max(top, log_bound(U))
+        f = lambda u: mpmath.exp(-tau * u) * mpmath.airyai(x + d * u) * mpmath.airyai(y + d * u)
+        total, a = mpmath.mpf(0), mpmath.mpf(0)
+        while a < U:
+            r = max(rate(a), rate(a + 1))
+            b = min(U, a + (min(1, 3 / r) if r > 0 else 1))
+            total += sum(w * f((a + b) / 2 + (b - a) / 2 * n) for n, w in GL16_MP) * (b - a) / 2
+            a = b
+        return total
 
 
 class TestAiryKernel:
@@ -107,11 +153,57 @@ class TestExtendedAiry:
         assert extended_airy(tau_x, x, tau_y, y) == pytest.approx(ref, abs=1e-10)
 
     def test_quadrature_error_estimate_is_checked(self, monkeypatch):
-        monkeypatch.setattr(scaling.integrate, "quad", lambda *a, **k: (0.1, 1e-6, {}))
+        # rules of 2 and 4 intervals per panel differ by far more than 1e-13
+        monkeypatch.setattr(scaling, "AIRY_NODES", 2)
         with pytest.raises(NumericError):
             extended_airy(0.0, 0.2, 1.0, 0.8)
+        # tau < 0: the forward integral raises, and so does the backward one
         with pytest.raises(NumericError):
             extended_airy(1.0, 0.2, 0.0, 0.8)
+        with pytest.raises(NumericError):
+            scaling._airy_integral(3.0, 0.2, 0.8, -1.0)
+
+    @staticmethod
+    def _reference(tau_x, x, tau_y, y):
+        """(value, size): the entry at 30 digits by the route extended_airy
+        takes, and the integral whose accuracy the rule certifies."""
+        tau, t = tau_y - tau_x, tau_x - tau_y
+        if tau >= 0:
+            val = airy_integral_mp(tau, x, y, 1)
+            return val, abs(val)
+        line = math.exp(t**3 / 12 - t * (x + y) / 2 - (x - y) ** 2 / (4 * t)) / math.sqrt(4 * math.pi * t)
+        if line <= 100:
+            with mpmath.workdps(30):
+                val = airy_integral_mp(tau, x, y, 1) - mpmath.exp(
+                    t**3 / 12 - t * (x + y) / 2 - (x - y) ** 2 / (4 * t)) / mpmath.sqrt(4 * mpmath.pi * t)
+            return val, abs(val) + line
+        val = -airy_integral_mp(t, x, y, -1)
+        return val, abs(val)
+
+    def test_seeded_sweep_against_mpmath(self):
+        # tau_x, tau_y in [-5, 5] and x, y in [-8, 8], five of each route:
+        # tau >= 0; tau < 0 over [0, inf) less the whole line; tau < 0 over
+        # (-inf, 0].  Held to the accuracy quad was asked for: 1e-13, or 1e-11
+        # of the integral the rule takes
+        rng = np.random.default_rng(2027)
+        routes = {}
+        while min(map(len, routes.values()), default=0) < 5 or len(routes) < 3:
+            tx, ty, x, y = (float(v) for v in rng.uniform([-5, -5, -8, -8], [5, 5, 8, 8]))
+            t = tx - ty
+            line = math.exp(t**3 / 12 - t * (x + y) / 2 - (x - y) ** 2 / (4 * t)) / math.sqrt(4 * math.pi * t) if t > 0 else 0
+            route = "forward" if t <= 0 else "less-line" if line <= 100 else "backward"
+            if len(routes.setdefault(route, [])) < 5:
+                routes[route].append((tx, x, ty, y))
+        for case in (c for cases in routes.values() for c in cases):
+            val, size = self._reference(*case)
+            assert abs(extended_airy(*case) - float(val)) <= max(1e-13, 1e-11 * float(size)), case
+
+    @pytest.mark.parametrize("tau_x,x,tau_y,y", [(4.8415, -2.064, -4.8415, -2.651), (4.8595, -6.212, -4.8595, -5.421)],
+                             ids=["tau-9.683", "tau-9.719"])
+    def test_strongly_negative_tau_against_mpmath(self, tau_x, x, tau_y, y):
+        # tau near -10: over [0, inf) the integrand peaks sharply near u = tau^2/4
+        val, size = self._reference(tau_x, x, tau_y, y)
+        assert abs(extended_airy(tau_x, x, tau_y, y) - float(val)) <= max(1e-13, 1e-11 * float(size))
 
 
 class TestBeadKernel:
