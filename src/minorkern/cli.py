@@ -27,6 +27,10 @@ USAGE_ERROR = 2
 NUMERIC_ERROR = 1
 
 
+class UsageError(Exception):
+    pass
+
+
 @dataclass
 class RunConfig:
     """Everything a subcommand needs; JSON-serializable, flags override file.
@@ -58,12 +62,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in data:
-                v = data[f.name]
-                kwargs[f.name] = tuple(v) if isinstance(v, list) else v
-        return cls(**kwargs)
+        try:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+        except (TypeError, AttributeError) as e:  # a key that names no field, or no JSON object
+            raise UsageError(f"config file: {e}") from e
 
     def spec(self) -> op.EnsembleSpec:
         return op.EnsembleSpec(self.ensemble, self.a, self.b)
@@ -108,8 +110,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
     proc = ProcessSpec(cfg.spec(), cfg.N)
     if len(cfg.species) != 2 or len(cfg.points) != 2:
         raise ValueError("kernel needs exactly two --species and two --points")
-    p1 = SpeciesPoint(cfg.species[0], cfg.points[0])
-    p2 = SpeciesPoint(cfg.species[1], cfg.points[1])
+    p1, p2 = map(SpeciesPoint, cfg.species, cfg.points)
     v = kernel_K(proc, p1, p2)
     _write(cfg.out, f"# K(s1,y1;s2,y2)\n{_fmt(v.value)}\n")
     print(f"K({p1.s},{p1.y};{p2.s},{p2.y}) = {v.value:.12g}")
@@ -134,22 +135,18 @@ def cmd_sample(cfg: RunConfig) -> int:
     elif cfg.process == "lue-chain":
         batch = samplers.sample_lue_batch(cfg.N, cfg.n, cfg.draws, cfg.seed)
         meta = dict(ensemble=op.LAGUERRE, N=cfg.N)
-    elif cfg.process == "projection":
+    else:
+        if cfg.N and cfg.N != cfg.n:
+            raise UsageError(f"--N {cfg.N} differs from --n {cfg.n}")
         batch = samplers.sample_projection_batch(cfg.spec(), cfg.n, cfg.depth, cfg.draws, cfg.seed)
         meta = dict(ensemble=cfg.ensemble, N=cfg.n)
-    else:
-        raise ValueError(f"unknown process {cfg.process!r}")
-    text = samplers.chains_to_csv(batch, ensemble=meta["ensemble"], N=meta["N"], seed=cfg.seed)
-    _write(cfg.out, text)
+    _write(cfg.out, samplers.chains_to_csv(batch, **meta, seed=cfg.seed))
     print(f"sampled {cfg.draws} draws of {cfg.process}")
     return 0
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    runner = _SUITES.get(cfg.suite)
-    if runner is None:
-        raise UsageError(f"unknown suite {cfg.suite!r}; choose from {sorted(_SUITES)}")
-    checks = runner(cfg)
+    checks = _SUITES[cfg.suite][0](cfg)
     ok = all(c["pass"] for c in checks)
     report = {"suite": cfg.suite, "pass": ok, "checks": checks}
     _write(cfg.out, json.dumps(report, sort_keys=True, default=float) + "\n")
@@ -342,15 +339,18 @@ def _suite_scaling(cfg: RunConfig) -> list[dict]:
     ]
 
 
+_SPEC = ("ensemble", "a", "b")  # the flags RunConfig.spec reads
+
+# suite -> (runner, the flags it reads)
 _SUITES = {
-    "biorthogonality": _suite_biorthogonality,
-    "oracle": _suite_oracle,
-    "sampler-vs-kernel": _suite_sampler_vs_kernel,
-    "gauge": _suite_gauge,
-    "rsk": _suite_rsk,
-    "lpp-bridge": _suite_lpp_bridge,
-    "bead-det": _suite_bead_det,
-    "scaling": _suite_scaling,
+    "biorthogonality": (_suite_biorthogonality, ("N", *_SPEC, "tolerance")),
+    "oracle": (_suite_oracle, ("N", *_SPEC, "tolerance")),
+    "sampler-vs-kernel": (_suite_sampler_vs_kernel, ("N", *_SPEC, "draws", "seed", "tolerance")),
+    "gauge": (_suite_gauge, ("N", *_SPEC, "seed", "tolerance")),
+    "rsk": (_suite_rsk, ("draws", "seed")),
+    "lpp-bridge": (_suite_lpp_bridge, ("n", "draws", "seed", "scale")),
+    "bead-det": (_suite_bead_det, ("seed", "tolerance")),
+    "scaling": (_suite_scaling, ("regime", *_SPEC, "n-list", "offsets", "positions", "tolerance")),
 }
 
 
@@ -359,17 +359,12 @@ def _check(name: str, stat: float, thr: float) -> dict:
             "pass": bool(stat < thr)}
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
 
-# every flag once, as argparse keyword arguments; each subcommand takes the
-# common flags, then its own, in the order its --help lists them
+# every flag once, as argparse keyword arguments
 _FLAGS = {
     "config": dict(help="JSON config file; flags override its values"),
     "ensemble": dict(choices=op.KINDS),
@@ -384,86 +379,87 @@ _FLAGS = {
     **{flag: dict(type=float, nargs="+") for flag in ("points", "offsets", "positions")},
 }
 
-_COMMON = ("config", "ensemble", "a", "b", "seed", "out", "tolerance")
-
-# subcommand -> (runner, help, own flags, required config fields); sample's
-# fields depend on --process: process -> (required, rejected, (flag, flag) pairs
-# that must agree when both are given); a projection's size is --n
+# subcommand -> (runner, help, the flags it reads), where a subcommand with
+# variants reads (the flag that picks one, {variant: the flags it reads});
+# "N!" is a --N that must be given, and every subcommand takes --config and --out
 _COMMANDS = {
-    "density": (cmd_density, "finite-N one-point functions on a grid",
-                ("N", "species", "grid"), ("N",)),
-    "kernel": (cmd_kernel, "one kernel value", ("N", "species", "points"), ("N",)),
-    "correlation": (cmd_correlation, "r-point correlation", ("N", "species", "points"), ("N",)),
-    "sample": (cmd_sample, "Monte Carlo chains to CSV",
-               ("process", "N", "n", "depth", "draws"),
-               {"gue-minor": (("N",), ("n", "depth", "ensemble", "a", "b"), ()),
-                "lue-chain": (("N",), ("depth", "ensemble", "a", "b"), ()),
-                "projection": ((), (), (("N", "n"),))}),
+    "density": (cmd_density, "finite-N one-point functions on a grid", ("N!", *_SPEC, "species", "grid")),
+    "kernel": (cmd_kernel, "one kernel value", ("N!", *_SPEC, "species", "points")),
+    "correlation": (cmd_correlation, "r-point correlation", ("N!", *_SPEC, "species", "points")),
+    "sample": (cmd_sample, "Monte Carlo chains to CSV", ("process", {
+        "gue-minor": ("N!", "draws", "seed"),
+        "lue-chain": ("N!", "n", "draws", "seed"),
+        "projection": (*_SPEC, "N", "n", "depth", "draws", "seed")})),
     "validate": (cmd_validate, "named validation suite",
-                 ("suite", "N", "n", "draws", "scale", "regime", "n-list", "offsets", "positions"),
-                 ("suite",)),
+                 ("suite", {name: flags for name, (_, flags) in _SUITES.items()})),
     "scaling": (cmd_scaling, "convergence report over an N list",
-                ("regime", "n-list", "offsets", "positions"), ()),
-    "lpp": (cmd_lpp, "last-passage vs eigenvalue bridge", ("n", "draws", "scale"), ()),
+                ("regime", *_SPEC, "n-list", "offsets", "positions")),
+    "lpp": (cmd_lpp, "last-passage vs eigenvalue bridge", ("n", "draws", "seed", "scale")),
     "limitcheck": (cmd_limitcheck, "finite kernel vs limit kernel at one N",
-                   ("regime", "N", "offsets", "positions"), ("N",)),
+                   ("regime", *_SPEC, "N!", "offsets", "positions", "tolerance")),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="minorkern", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand")
-    for name, (_, help_text, own, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in _COMMON + own:
+    for name, (_, help_text, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if isinstance(reads[-1], dict):
+            reads = (reads[0], *itertools.chain(*reads[1].values()))
+        for flag in dict.fromkeys(flag.rstrip("!") for flag in ("config", *reads, "out")):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_data = json.load(fh)
     cfg = RunConfig.from_dict(file_data)
     cfg.subcommand = args.subcommand
     given = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "subcommand")}
     # a field counts as set when a flag gives it or the file moves it off its default
-    changed = set(given) | {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(RunConfig(), f.name)}
+    unset = RunConfig(subcommand=cfg.subcommand)
+    changed = set(given) | {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(unset, f.name)}
     if "grid" in given:
         parts = given.pop("grid").split(":")
         if len(parts) != 3:
             raise UsageError("--grid must be min:step:max")
-        cfg.grid_min, cfg.grid_step, cfg.grid_max = (float(parts[0]), float(parts[1]), float(parts[2]))
+        cfg.grid_min, cfg.grid_step, cfg.grid_max = map(float, parts)
     for k, v in given.items():
         setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
-    if cfg.seed == 0 and "seed" not in given:
-        env = os.environ.get("MINORKERN_SEED")
-        if env is not None:
-            cfg.seed = int(env)
+    if cfg.seed == 0 and "seed" not in given and "MINORKERN_SEED" in os.environ:
+        cfg.seed = int(os.environ["MINORKERN_SEED"])
+    # the flags read where the config runs: its variant's, if its subcommand has variants
+    where, reads = cfg.subcommand, _COMMANDS[cfg.subcommand][2]
+    if isinstance(reads[-1], dict):
+        (key, variants), value = reads, getattr(cfg, reads[0])
+        if value not in variants:
+            raise UsageError(f"--{key} must be one of {sorted(variants)}, got {value!r}")
+        where, reads = f"--{key} {value}", (key, *variants[value])
+    flags = {flag.rstrip("!") for flag in (*reads, "out")}
+    for name in sorted({"grid" if k.startswith("grid_") else k.replace("_", "-") for k in changed} - flags):
+        raise UsageError(f"--{name} does not apply to {where}")
     explicit = set(given) | set(file_data)
-    rules = _COMMANDS[cfg.subcommand][3]
-    required, rejected, agree = rules.get(cfg.process, ((), (), ())) if isinstance(rules, dict) else (rules, (), ())
-    for name in required:
-        if name not in explicit:
-            raise UsageError(f"missing required --{name}")
-    if "N" in explicit and type(cfg.N) is not int:
+    if "N!" in reads and "N" not in explicit:
+        raise UsageError("missing required --N")
+    if "N" in flags & explicit and type(cfg.N) is not int:
         raise UsageError(f"--N must be an integer, got {cfg.N!r}")
-    if "N" in explicit and cfg.N < 1:
+    if "N" in flags & explicit and cfg.N < 1:
         raise UsageError(f"--N must be >= 1, got {cfg.N}")
-    for name in rejected:
-        if name in changed:
-            raise UsageError(f"--{name} does not apply to --process {cfg.process}")
-    for name, other in agree:
-        if name in changed and getattr(cfg, name) != getattr(cfg, other):
-            raise UsageError(f"--{name} {getattr(cfg, name)} differs from --{other} {getattr(cfg, other)}")
     return cfg
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extra = ap.parse_known_args(argv)
+        # a flag of another subcommand is a flag that does not apply
+        flag = extra[0].split("=")[0] if extra else ""
+        if extra and not (args.subcommand and flag[:2] == "--" and flag[2:] in _FLAGS):
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     if not args.subcommand:
@@ -471,6 +467,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         try:
+            if extra:
+                raise UsageError(f"{flag} does not apply to {args.subcommand}")
             cfg = _merge_config(args)
         except OverflowError as e:
             raise UsageError(str(e)) from e

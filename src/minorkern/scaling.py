@@ -10,6 +10,7 @@ determinants.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -174,17 +175,24 @@ def extended_airy(tau_x: float, x: float, tau_y: float, y: float) -> float:
         return _airy_integral(tau, x, y)
     # -int_{-inf}^0 e^(t u) Ai(x+u) Ai(y+u) du with t = -tau.  Over the whole
     # line the integral is Gaussian (Prahofer-Spohn 2002), so the half line is
-    # that minus [0, inf), which decays super-exponentially.  Where that
-    # difference or the integral over [0, inf) cancels (a Gaussian above 100,
-    # x or y far below 0), e^(t u) decays fast enough to integrate (-inf, 0]
+    # that minus [0, inf), which decays super-exponentially; held to 1e-11 of
+    # itself, about the Gaussian, it serves a Gaussian up to 100 and an entry
+    # down to 1e-2 of it.  Elsewhere e^(t u) decays fast enough to integrate
+    # (-inf, 0], with the difference as the fallback where that rule fails
     t = -tau
     line = math.exp(t**3 / 12.0 - t * (x + y) / 2.0 - (x - y) ** 2 / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    diff = None
+    if line <= 100.0:
+        with contextlib.suppress(NumericError):
+            diff = _airy_integral(tau, x, y) - line
+            if abs(diff) >= 1e-2 * line:
+                return diff
     try:
-        if line <= 100.0:
-            return _airy_integral(tau, x, y) - line
+        return -_airy_integral(t, x, y, -1.0)
     except NumericError:
-        pass
-    return -_airy_integral(t, x, y, -1.0)
+        if diff is None:
+            raise
+        return diff
 
 
 def _exp_integral_imag(n: int, w: float) -> complex:
@@ -215,33 +223,26 @@ def bead_kernel(cx: int, x: float, cy: int, y: float) -> float:
     m = cy - cx
     u = x - y
     beta = math.pi * u
-    phi = -0.5 * math.pi * m
     if m >= 0:
-        if m <= 6 or abs(beta) >= 0.5 * m:
-            c = _poly_osc_integral_01(m, beta)
-            return ((-1j) ** m * c).real
-        nodes, wts = gl_nodes(0.0, 1.0, 48)
-        return float(np.dot(wts, nodes**m * np.cos(beta * nodes + phi)))
+        return ((-1j) ** m * _poly_osc_integral_01(m, beta)).real
     if u == 0.0:
         # cos(pi m / 2) vanishes for odd m; otherwise the plain power integral
-        return math.cos(phi) / (m + 1) if m <= -2 else 0.0
+        return math.cos(0.5 * math.pi * m) / (m + 1) if m <= -2 else 0.0
     return -((-1j) ** m * _exp_integral_imag(-m, -beta)).real
 
 
 def _poly_osc_integral_01(m: int, beta: float) -> complex:
-    """int_0^1 s^m e^(i beta s) ds; series for small beta, recursion otherwise."""
-    if abs(beta) < max(2.0, 0.5 * m):
-        tot = 0.0j
-        term = 1.0 + 0.0j
-        k = 0
-        while True:
-            add = term / (m + k + 1)
-            tot += add
-            if abs(add) < 1e-18 * max(1.0, abs(tot)) and k > 4:
-                return tot
-            k += 1
-            term *= 1j * beta / k
+    """int_0^1 s^m e^(i beta s) ds.  For small beta the series about s = 1,
+    e^(i beta) sum_k (-i beta)^k m! / (m + k + 1)!, whose terms shrink from
+    the first on; the upward recursion otherwise."""
     ib = 1j * beta
+    if abs(beta) < max(2.0, 0.5 * m):
+        tot, term, j = 0.0j, 1.0 / (m + 1), m + 1
+        while abs(term) > 1e-17 * abs(tot):
+            tot += term
+            j += 1
+            term *= -ib / j
+        return cmath.exp(ib) * tot
     c = (cmath.exp(ib) - 1.0) / ib
     for j in range(1, m + 1):
         c = (cmath.exp(ib) - j * c) / ib

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -372,6 +374,113 @@ class TestSuitesAndReports:
         # both points at X = 0: the cross-species limit entries are 0
         assert run(["limitcheck", "--regime", "hard", "--ensemble", "laguerre", "--N", "50",
                     "--offsets", "0", "1", "--positions", "0", "0"]) == 0
+
+
+def _seeded_command_lines():
+    """A minimal command line for each subcommand, process and suite that reads --seed."""
+    for command, (_, _, reads) in cli._COMMANDS.items():
+        key, variants = reads if isinstance(reads[-1], dict) else (None, {None: reads})
+        for value, flags in variants.items():
+            if "seed" in flags:
+                yield [command, *([f"--{key}", value] if key else []), *(["--N", "2"] if "N!" in flags else [])]
+
+
+class TestFlagsThatDoNotApply:
+    """Every subcommand, process and suite takes exactly the flags it reads."""
+
+    @pytest.mark.parametrize("args, flag, where", [
+        (["density", "--N", "2", "--grid", "0:1:0", "--seed", "7"], "--seed", "density"),
+        (["density", "--N", "2", "--grid", "0:1:0", "--seed=7"], "--seed", "density"),
+        (["kernel", "--N", "2", "--species", "1", "2", "--points", "0", "0", "--draws", "5"], "--draws", "kernel"),
+        (["correlation", "--N", "2", "--species", "1", "--points", "0", "--tolerance", "1"],
+         "--tolerance", "correlation"),
+        (["sample", "--process", "projection", "--n", "3", "--tolerance", "1"], "--tolerance", "sample"),
+        (["scaling", "--regime", "soft", "--N", "5"], "--N", "scaling"),
+        (["scaling", "--regime", "soft", "--n", "5"], "--n", "scaling"),
+        (["lpp", "--n", "3", "--ensemble", "jacobi", "--a", "5"], "--ensemble", "lpp"),
+        (["limitcheck", "--N", "20", "--seed", "3"], "--seed", "limitcheck"),
+        (["validate", "--suite", "biorthogonality", "--seed", "1"], "--seed", "--suite biorthogonality"),
+        (["validate", "--suite", "oracle", "--draws", "10"], "--draws", "--suite oracle"),
+        (["validate", "--suite", "sampler-vs-kernel", "--regime", "bulk"], "--regime", "--suite sampler-vs-kernel"),
+        (["validate", "--suite", "gauge", "--n", "3"], "--n", "--suite gauge"),
+        (["validate", "--suite", "rsk", "--N", "3", "--tolerance", "1e-9"], "--N", "--suite rsk"),
+        (["validate", "--suite", "lpp-bridge", "--tolerance", "1e-9"], "--tolerance", "--suite lpp-bridge"),
+        (["validate", "--suite", "bead-det", "--ensemble", "jacobi"], "--ensemble", "--suite bead-det"),
+        (["validate", "--suite", "scaling", "--seed", "3"], "--seed", "--suite scaling"),
+    ], ids=["density", "density-flag=value", "kernel", "correlation", "sample", "scaling",
+            "scaling-prefix-of-n-list", "lpp", "limitcheck",
+            *(f"validate-{suite}" for suite in ("biorthogonality", "oracle", "sampler-vs-kernel", "gauge", "rsk",
+                                                "lpp-bridge", "bead-det", "scaling"))])
+    def test_flag_not_read_exits_2(self, args, flag, where, capsys):
+        assert run(args) == 2
+        assert f"{flag} does not apply to {where}" in capsys.readouterr().err
+
+    def test_config_field_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_json(tolerance=1.0))
+        assert run(["lpp", "--n", "3", "--draws", "10", "--config", str(cfg)]) == 2
+        assert "--tolerance does not apply to lpp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [('{"sed": 7}', "'sed'"), ("[7]", "'list'")], ids=["key", "list"])
+    def test_config_that_is_no_run_config_exits_2(self, text, error, tmp_path, capsys):
+        # a misspelt seed once ran with seed 0, and a list with the defaults
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert run(["sample", "--N", "2", "--draws", "3", "--config", str(cfg)]) == 2
+        assert error in capsys.readouterr().err
+
+    def test_config_of_defaults_runs_where_N_is_not_read(self, tmp_path, capsys):
+        # the file's N = 0 is the default, so bead-det is not given a --N
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_json())
+        assert run(["validate", "--suite", "bead-det", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("argv", list(_seeded_command_lines()),
+                             ids=lambda argv: "-".join(a for a in argv[:3] if a[:2] != "--"))
+    def test_env_seed_reaches_every_command_that_reads_seed(self, argv, monkeypatch):
+        monkeypatch.setenv("MINORKERN_SEED", "77")
+        assert cli._merge_config(cli._build_parser().parse_args(argv)).seed == 77
+
+
+CLI_TREE = ast.parse(Path(cli.__file__).read_text())
+FUNCTIONS = {node.name: node for node in CLI_TREE.body if isinstance(node, ast.FunctionDef)}
+
+
+def _fields_read(runner) -> set[str]:
+    """The flags a runner reads: each cfg.<field>, cfg.spec() as the ensemble
+    and its two parameters, and _grid(cfg) as the grid."""
+    read = set()
+    for node in ast.walk(FUNCTIONS[runner.__name__]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
+            read |= {"ensemble", "a", "b"} if node.attr == "spec" else {node.attr.replace("_", "-")}
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grid":
+            read.add("grid")
+    return read
+
+
+def _read_and_declared():
+    """(name, the flags its runners read, the flags it declares) for each
+    subcommand and suite; sample declares the union over its processes."""
+    for command, (runner, _, reads) in cli._COMMANDS.items():
+        if command == "validate":
+            for suite, (suite_runner, flags) in cli._SUITES.items():
+                yield f"validate-{suite}", _fields_read(runner) | _fields_read(suite_runner), {"suite", *flags}
+        elif isinstance(reads[-1], dict):
+            yield command, _fields_read(runner), {reads[0], *itertools.chain(*reads[1].values())}
+        else:
+            yield command, _fields_read(runner), set(reads)
+
+
+def test_the_flag_scan_sees_the_runners():
+    assert _fields_read(cli.cmd_density) == {"N", "ensemble", "a", "b", "species", "grid", "out"}
+    assert _fields_read(cli.cmd_scaling) >= {"n-list", "regime"}
+    assert len(list(_read_and_declared())) == len(cli._COMMANDS) - 1 + len(cli._SUITES)
+
+
+@pytest.mark.parametrize("name, read, declared", list(_read_and_declared()),
+                         ids=[name for name, _, _ in _read_and_declared()])
+def test_declared_flags_are_the_fields_read(name, read, declared):
+    assert read == {flag.rstrip("!") for flag in declared} | {"out"}
 
 
 def _readme_commands():

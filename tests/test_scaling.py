@@ -205,6 +205,26 @@ class TestExtendedAiry:
         val, size = self._reference(tau_x, x, tau_y, y)
         assert abs(extended_airy(tau_x, x, tau_y, y) - float(val)) <= max(1e-13, 1e-11 * float(size))
 
+    FOUND_CASE = (2.1795046609922553, -7.269489843915137, -3.317409512942299, 6.759151969099774)
+
+    def test_entry_far_below_its_gaussian_against_mpmath(self):
+        # the whole-line Gaussian is 64.9 and the entry -1.1e-7: over [0, inf)
+        # less the Gaussian it was 1.6e-6 off in relative terms
+        tau_x, x, tau_y, y = self.FOUND_CASE
+        ref = -airy_integral_mp(tau_x - tau_y, x, y, -1)
+        assert extended_airy(*self.FOUND_CASE) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+    def test_difference_is_the_fallback_of_the_backward_rule(self, monkeypatch):
+        forward = scaling._airy_integral
+
+        def forward_only(tau, x, y, d=1.0):
+            if d < 0:
+                raise NumericError("backward rule fails")
+            return forward(tau, x, y, d)
+
+        monkeypatch.setattr(scaling, "_airy_integral", forward_only)
+        assert extended_airy(*self.FOUND_CASE) == pytest.approx(-1.0977365e-7, rel=1e-5, abs=0)
+
 
 class TestBeadKernel:
     def test_equal_species_diagonal(self):
@@ -249,6 +269,19 @@ class TestBeadKernel:
             ref = float(mpmath.quad(lambda s: s**m * mpmath.cos(mpmath.mpf(beta) * s - mpmath.pi * m / 2),
                                     mpmath.linspace(0, 1, 80)))
         assert bead_kernel(0, u, m, 0.0) == pytest.approx(ref, rel=1e-13)
+
+    def test_small_beta_series_vs_mpmath(self):
+        # |beta| < max(2, m/2) takes the series about s = 1.  The kernel is
+        # the real part of (-i)^m int_0^1 s^m e^(i beta s) ds, held to 1e-14
+        # of that integral's modulus: at some beta the real part cancels
+        for m in range(41):
+            for share in (0.05, -0.4, 0.7, -0.97):
+                beta = share * max(2.0, 0.5 * m)
+                with mpmath.workdps(40):
+                    c = mpmath.quad(lambda s: s**m * mpmath.exp(1j * mpmath.mpf(beta) * s), mpmath.linspace(0, 1, 5))
+                    ref = mpmath.re((-1j) ** m * c)
+                got = bead_kernel(0, beta / math.pi, m, 0.0)
+                assert abs(got - float(ref)) <= 1e-14 * float(abs(c)), (m, beta)
 
     @pytest.mark.parametrize("m", range(-12, -6))
     @pytest.mark.parametrize("x,y", [(0.2, 0.0), (0.61, 0.0), (0.2, -9.0), (-1.3, 2.4)])
