@@ -415,8 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_data = {}
     if args.config:
-        with open(args.config) as fh:
-            file_data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_data = json.load(fh)
+        except OSError as e:
+            raise UsageError(f"config file {args.config}: {e.strerror}") from e
     cfg = RunConfig.from_dict(file_data)
     cfg.subcommand = args.subcommand
     given = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "subcommand")}

@@ -30,6 +30,7 @@ __all__ = [
     "phi_cap",
     "kernel_F",
     "kernel_K",
+    "kernel_matrix",
     "correlation",
     "density",
 ]
@@ -540,22 +541,28 @@ def _check_weights(proc: ProcessSpec, *points: SpeciesPoint) -> None:
 def kernel_F(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> float:
     """Kernel in the symmetric sqrt-weight gauge; same determinants as kernel_K."""
     _check_weights(proc, p1, p2)
-    return _entry_F(_Tables(proc, {p1} if p1 == p2 else ()), p1, p2)
+    return slog_to_float(*_entry_F(_Tables(proc, {p1} if p1 == p2 else ()), p1, p2))
 
 
 def _entry_F(tables, p1, p2):
-    """The entry of kernel_F from K: 0 where the weight of species s2 vanishes at y2."""
+    """The entry of kernel_F as (sign, log) from K; a 0, as where w_{s2}(y2) = 0, has sign 0 and log -inf."""
     sign, lg = _kernel_slog(tables, p1, p2)
-    if sign == 0.0:
-        return 0.0
-    return slog_to_float((-1.0) ** (p2.s - p1.s) * sign, lg - _gauge(tables.proc, p1, p2))
+    lg = lg - _gauge(tables.proc, p1, p2) if sign else NEG_INF
+    return ((-1.0) ** (p2.s - p1.s) * sign if lg != NEG_INF else 0.0, lg)
+
+
+def kernel_matrix(proc: ProcessSpec, points: list[SpeciesPoint]) -> np.ndarray:
+    """(signs, logs), a 2 x r x r array, of kernel_F between every two of the r
+    points, from one set of tables; entries outside double range keep their logs."""
+    _check_weights(proc, *points)
+    tables = _Tables(proc, set(points))
+    return np.array([[_entry_F(tables, pi, pj) for pj in points] for pi in points]).transpose(2, 0, 1)
 
 
 def kernel_K(proc: ProcessSpec, p1: SpeciesPoint, p2: SpeciesPoint) -> KernelValue:
     """Two-point correlation kernel K(s1,y1;s2,y2)."""
     _check_weights(proc, p1, p2)
-    s, lg = _kernel_slog(_Tables(proc, {p1} if p1 == p2 else ()), p1, p2)
-    return KernelValue(slog_to_float(s, lg))
+    return KernelValue(slog_to_float(*_kernel_slog(_Tables(proc, {p1} if p1 == p2 else ()), p1, p2)))
 
 
 def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
@@ -565,10 +572,7 @@ def correlation(proc: ProcessSpec, points: list[SpeciesPoint]) -> float:
         raise ValueError("need 1 <= r <= 12 points")
     if len({(p.s, p.y) for p in points}) != r:
         raise ValueError("duplicate (species, position) pairs are not allowed")
-    _check_weights(proc, *points)
-    # every entry reads its points' tables, which are built once
-    tables = _Tables(proc, set(points))
-    mat = np.array([[_entry_F(tables, pi, pj) for pj in points] for pi in points])
+    mat = np.frompyfunc(slog_to_float, 2, 1)(*kernel_matrix(proc, points)).astype(float)
     if not (mat.any(axis=0).all() and mat.any(axis=1).all()):
         return 0.0  # a point where its species' weight vanishes zeroes its row or column
     det = float(np.linalg.det(mat))

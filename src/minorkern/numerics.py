@@ -19,9 +19,13 @@ NEG_INF = -math.inf
 
 
 def slog_to_float(s: float, lg: float) -> float:
+    """s e^lg, 0 for sign 0; NumericError where it leaves double range."""
     if s == 0.0 or lg == NEG_INF:
         return 0.0
-    return s * math.exp(lg)
+    try:
+        return s * math.exp(lg)
+    except OverflowError:
+        raise NumericError(f"a value of log magnitude {lg:.6g} is outside double range") from None
 
 
 def interlaced(outer, inner, weak: bool = False) -> bool:

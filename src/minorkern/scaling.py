@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special
 
 from . import orthopoly as op
-from .kernel import ProcessSpec, SpeciesPoint, kernel_F
-from .numerics import NumericError, clenshaw_curtis, gl_nodes
+from .kernel import ProcessSpec, SpeciesPoint, kernel_F, kernel_matrix
+from .numerics import NumericError, clenshaw_curtis, gl_nodes, slog_to_float
 
 __all__ = [
     "SOFT_FIXED",
@@ -332,48 +332,43 @@ def _weber_schafheitlin(lam: float, mu: float, p: float, nu: float, q: float) ->
 # ---------------------------------------------------------------------------
 
 
+def _rate(q: LimitQuery):
+    """Species per unit offset, s = N - rate c: 1 outside SOFT_DRIFT, whose
+    offsets are whole, and the drift's N^(2/3) scale under it."""
+    if q.regime != SOFT_DRIFT:
+        return 1
+    return -2.0 * q.N ** (2.0 / 3.0) if q.ensemble.kind == op.GAUSSIAN else 2.0 * (2.0 * q.N) ** (2.0 / 3.0)
+
+
 def _resolve(q: LimitQuery):
     """Map (offsets, positions) to model species/coordinates plus the scale."""
-    kind, N = q.ensemble.kind, q.N
-    pairs = list(zip(q.offsets, q.positions))
-    if kind == op.GAUSSIAN:
-        scale = 1.0 / (math.sqrt(2.0) * N ** (1.0 / 6.0))
-    else:
-        scale = 2.0 * (2.0 * N) ** (1.0 / 3.0)
-    if q.regime == SOFT_FIXED:
-        edge = math.sqrt(2.0 * N) if kind == op.GAUSSIAN else 4.0 * N + 2.0 * q.ensemble.a
-        pts = [(N - int(c), edge + Y * scale) for c, Y in pairs]
-    elif q.regime in (BULK, HARD_EDGE):
-        scale = math.pi / math.sqrt(2.0 * N) if q.regime == BULK else 1.0 / (4.0 * N)
-        pts = [(N - int(c), Y * scale) for c, Y in pairs]
-    elif kind == op.GAUSSIAN:  # SOFT_DRIFT
-        pts = []
-        for c, Y in pairs:
-            s = int(round(N + 2.0 * c * N ** (2.0 / 3.0)))
-            pts.append((s, math.sqrt(2.0 * s) + Y / (math.sqrt(2.0) * s ** (1.0 / 6.0))))
-    else:  # SOFT_DRIFT, laguerre: LimitQuery admits no other family
-        pts = []
-        for c, Y in pairs:
-            s = int(round(N - 2.0 * c * (2.0 * N) ** (2.0 / 3.0)))
-            # species s has effective exponent a + N - s; its edge is
-            # (sqrt(s) + sqrt(s + a + N - s))^2, which the 4s + 2(a+N-s)
-            # form only matches to within O(1) of the fluctuation scale
-            a_eff = q.ensemble.a + N - s
-            pts.append((s, (math.sqrt(s) + math.sqrt(s + a_eff)) ** 2 + scale * Y))
-    for s, _ in pts:
+    kind, N, rate = q.ensemble.kind, q.N, _rate(q)
+    species = [int(round(N - rate * (c if q.regime == SOFT_DRIFT else int(c)))) for c in q.offsets]
+    for s in species:
         if not 1 <= s <= N:
             raise ValueError(f"mapped species {s} lands outside [1, {N}]")
-    return pts, scale
+    scale = 1.0 / (math.sqrt(2.0) * N ** (1.0 / 6.0)) if kind == op.GAUSSIAN else 2.0 * (2.0 * N) ** (1.0 / 3.0)
+    if q.regime == SOFT_FIXED:
+        edge = math.sqrt(2.0 * N) if kind == op.GAUSSIAN else 4.0 * N + 2.0 * q.ensemble.a
+        ys = [edge + Y * scale for Y in q.positions]
+    elif q.regime in (BULK, HARD_EDGE):
+        scale = math.pi / math.sqrt(2.0 * N) if q.regime == BULK else 1.0 / (4.0 * N)
+        ys = [Y * scale for Y in q.positions]
+    elif kind == op.GAUSSIAN:  # SOFT_DRIFT
+        ys = [math.sqrt(2.0 * s) + Y / (math.sqrt(2.0) * s ** (1.0 / 6.0)) for s, Y in zip(species, q.positions)]
+    else:  # SOFT_DRIFT, laguerre: LimitQuery admits no other family
+        # species s has effective exponent a + N - s; its edge is
+        # (sqrt(s) + sqrt(s + a + N - s))^2, which the 4s + 2(a+N-s)
+        # form only matches to within O(1) of the fluctuation scale
+        ys = [(math.sqrt(s) + math.sqrt(s + (q.ensemble.a + N - s))) ** 2 + scale * Y
+              for s, Y in zip(species, q.positions)]
+    return list(zip(species, ys)), scale
 
 
 def realized_offsets(q: LimitQuery) -> tuple[float, ...]:
-    """Offsets implied by the rounded species indices actually used."""
-    N = q.N
-    if q.regime != SOFT_DRIFT:
-        return tuple(float(N - s) for s, _ in _resolve(q)[0])
-    if q.ensemble.kind == op.GAUSSIAN:
-        return tuple((s - N) / (2.0 * N ** (2.0 / 3.0)) for s, _ in _resolve(q)[0])
-    return tuple((N - s) / (2.0 * (2.0 * N) ** (2.0 / 3.0)) for s, _ in _resolve(q)[0])
+    """Offsets implied by the rounded species indices actually used, (N - s) / rate."""
+    # + 0.0 keeps an offset of 0 unsigned where the rate is negative
+    return tuple((q.N - s) / _rate(q) + 0.0 for s, _ in _resolve(q)[0])
 
 
 def scaled_finite_kernel(q: LimitQuery, j: int, k: int) -> float:
@@ -382,34 +377,27 @@ def scaled_finite_kernel(q: LimitQuery, j: int, k: int) -> float:
     Diagonal entries carry no gauge; off-diagonal entries report the geometric
     mean magnitude of the (j,k),(k,j) pair signed by the pair product, which
     is exactly the gauge-invariant content of the pair (the sign of a single
-    entry is itself gauge).
+    entry is itself gauge).  The pair is formed from the entries' logs, which
+    stay in range where the entries themselves do not.
     """
     pts, scale = _resolve(q)
     proc = ProcessSpec(q.ensemble, q.N)
-    pj = SpeciesPoint(*pts[j])
-    pk = SpeciesPoint(*pts[k])
-    # F's diagonal is K's, and F_jk F_kj = K_jk K_kj
-    fjk = kernel_F(proc, pj, pk)
-    if j == k:
-        return scale * fjk
-    fkj = kernel_F(proc, pk, pj)
-    if fjk == 0.0 or fkj == 0.0:
-        return 0.0
-    mag = scale * math.sqrt(abs(fjk)) * math.sqrt(abs(fkj))
-    return mag if (fjk > 0.0) == (fkj > 0.0) else -mag
+    pj, pk = SpeciesPoint(*pts[j]), SpeciesPoint(*pts[k])
+    if j == k:  # F's diagonal is K's
+        return scale * kernel_F(proc, pj, pj)
+    signs, logs = kernel_matrix(proc, [pj, pk])
+    # a pair holding a zero entry has sign 0 and is 0, whatever the other log
+    return scale * slog_to_float(signs.item(0, 1) * signs.item(1, 0), 0.5 * (logs.item(0, 1) + logs.item(1, 0)))
 
 
 def limit_kernel(q: LimitQuery, j: int, k: int) -> float:
     """The predicted limit for scaled_finite_kernel(q, j, k), gauge-freed the
-    same way (geometric mean of the (j,k),(k,j) pair off the diagonal)."""
-    if q.regime == SOFT_FIXED or j == k:
-        # the Airy kernel is gauge-free and may be negative, which the
-        # geometric mean below would turn into |K|
+    same way in every regime (geometric mean of the (j,k),(k,j) pair off the
+    diagonal, signed by its product)."""
+    if j == k:
         return _limit_entry_raw(q, j, k)
-    vjk, vkj = _limit_entry_raw(q, j, k), _limit_entry_raw(q, k, j)
-    if vjk == 0.0 or vkj == 0.0:
-        return 0.0
-    return math.copysign(math.sqrt(abs(vjk * vkj)), vjk * vkj)
+    prod = _limit_entry_raw(q, j, k) * _limit_entry_raw(q, k, j)
+    return math.copysign(math.sqrt(abs(prod)), prod) if prod else 0.0
 
 
 def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
@@ -450,8 +438,8 @@ def convergence_report(regime: str, ensemble: op.EnsembleSpec, n_list, offsets,
 
 
 def _limit_entry_raw(q: LimitQuery, a: int, b: int) -> float:
-    """Raw (possibly gauge-carrying) limit entry; only determinants of these
-    are compared, so the internal gauge is irrelevant."""
+    """Raw (possibly gauge-carrying) limit entry; only its gauge-free
+    combinations are compared, so the internal gauge is irrelevant."""
     if q.regime == SOFT_FIXED:
         return airy_kernel(q.positions[a], q.positions[b])
     if q.regime == BULK:

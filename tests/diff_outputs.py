@@ -5,9 +5,10 @@ Runs every operation of the kernel-eval and scaling-limits plans for seeds
 plans, against the src/ of two revisions.  Each revision is unpacked with
 `git archive` and run in its own subprocess.  The new side defaults to the
 working tree's src/.  Prints, for each kind of operation, how many outputs
-are bitwise equal and the worst absolute difference; an output is every
-float inside it (arrays and reports included), and an operation that
-raises is an output unequal to any value.
+are bitwise equal, the worst absolute difference and the worst relative
+difference |a-b|/max(|a|,|b|); an output is every float inside it (arrays
+and reports included), and an operation that raises is an output unequal
+to any value.
 
 The file name keeps it out of pytest collection.  It reads benchmarks/ and
 changes nothing there.  Run from the repository root:
@@ -78,20 +79,26 @@ def leaves(value):
         yield from np.ravel(value).tolist() if isinstance(value, (np.ndarray, np.generic)) else [value]
 
 
-def compare(a, b) -> tuple[bool, float]:
-    """(bitwise equal, worst absolute difference) of two outputs."""
+def compare(a, b) -> tuple[bool, float, float]:
+    """(bitwise equal, worst absolute difference, worst relative difference)
+    of two outputs."""
     la, lb = list(leaves(a)), list(leaves(b))
     if len(la) != len(lb):
-        return False, math.inf
-    equal, worst = True, 0.0
+        return False, math.inf, math.inf
+    equal, worst, worst_rel = True, 0.0, 0.0
     for x, y in zip(la, lb):
         if isinstance(x, float) and isinstance(y, float):
             if x.hex() != y.hex():
                 equal = False
-                worst = max(worst, abs(x - y) if not math.isnan(x - y) else math.inf)
+                diff = abs(x - y) if not math.isnan(x - y) else math.inf
+                worst = max(worst, diff)
+                if diff == math.inf:
+                    worst_rel = math.inf
+                elif diff:  # two zeros of opposite sign differ by nothing
+                    worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
         elif x != y:
-            return False, math.inf
-    return equal, worst
+            return False, math.inf, math.inf
+    return equal, worst, worst_rel
 
 
 def kind(workload: str, label: str) -> str:
@@ -108,16 +115,17 @@ def main(argv=None):
         old, new = outputs(args.old, Path(tmp)), outputs(args.new, Path(tmp))
     if [row[:4] for row in old] != [row[:4] for row in new]:
         sys.exit("the two revisions planned different operations")
-    table = defaultdict(lambda: [0, 0, 0.0])
+    table = defaultdict(lambda: [0, 0, 0.0, 0.0])
     for (workload, _, _, label, a), (*_, b) in zip(old, new):
-        equal, diff = compare(a, b)
+        equal, diff, rel = compare(a, b)
         row = table[kind(workload, label)]
         row[0] += equal
         row[1] += 1
         row[2] = max(row[2], diff)
-    print(f"{'kind':<40} {'equal':>11}  worst |difference|")
-    for name, (equal, total, worst) in sorted(table.items()):
-        print(f"{name:<40} {equal:>5} / {total:<4}  {worst:.3g}")
+        row[3] = max(row[3], rel)
+    print(f"{'kind':<40} {'equal':>11}  {'worst |difference|':>18}  worst relative")
+    for name, (equal, total, worst, rel) in sorted(table.items()):
+        print(f"{name:<40} {equal:>5} / {total:<4}  {worst:>18.3g}  {rel:.3g}")
     print(f"bitwise equal: {sum(r[0] for r in table.values())} of {len(old)}")
 
 

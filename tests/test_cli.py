@@ -93,11 +93,27 @@ class TestExitCodes:
         assert "limited to [-20, 20]" in capsys.readouterr().err
 
     def test_overflow_in_the_numerics_is_a_numeric_error(self, capsys):
-        # an entry between distant species leaves double range in the
-        # sqrt-weight gauge here; that is not the user's input at fault
-        assert run(["limitcheck", "--regime", "soft-drift", "--ensemble", "laguerre", "--a", "0",
-                    "--N", "1600", "--offsets", "0", "0.5", "--positions", "0", "0.3"]) == 1
-        assert "error" in json.loads(capsys.readouterr().err)
+        # the entry K between these distant species is e^1034, outside
+        # double range; that is not the user's input at fault
+        assert run(["kernel", "--ensemble", "gaussian", "--N", "800", "--species", "790", "500",
+                    "--points", "1.2", "1.0"]) == 1
+        assert "outside double range" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("args,tolerance", [
+        ("--regime soft --ensemble gaussian --N 400 --offsets 0 0 --positions -8 -6.25", 0.05),
+        ("--regime soft-drift --ensemble laguerre --a 0 --N 1600 --offsets 0 0.5 --positions 0 0.3", 0.01),
+        ("--regime soft-drift --ensemble gaussian --N 6400 --offsets 0 -0.5 --positions 0 0.3", 0.01),
+    ], ids=["soft-negative-airy", "soft-drift-laguerre", "soft-drift-gaussian"])
+    def test_limitcheck_pairs_agree(self, args, tolerance, capsys):
+        # the finite pairs are formed from their entries' logs, which stay in
+        # range where the entries do not, and the limit pairs by the same rule
+        assert run(["limitcheck", *args.split(), "--tolerance", str(tolerance)]) == 0
+
+    @pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
+    def test_unreadable_config_is_a_usage_error(self, name, tmp_path, capsys):
+        path = str(tmp_path / name)
+        assert run(["lpp", "--config", path]) == 2
+        assert f"config file {path}" in capsys.readouterr().err
 
 
 class TestDensity:

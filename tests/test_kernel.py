@@ -13,10 +13,12 @@ from minorkern.kernel import (
     density,
     kernel_F,
     kernel_K,
+    kernel_matrix,
     phi_cap,
     phi_conv,
     psi,
 )
+from minorkern.numerics import NEG_INF, NumericError, slog_to_float
 from oracles import f_entry_direct, f_entry_series
 from test_tail_moments import up_entry_mp
 
@@ -313,6 +315,35 @@ def test_correlation_builds_each_points_tables_once(spec, r, monkeypatch):
     for name, calls in built.items():
         assert len(calls) == len(set(calls)) <= r, f"{name} tables: {calls}"
     assert got == expect != 0.0
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("spec,N,pts", [
+        (GAUSS, 8, [(3, 0.4), (7, -1.1), (5, 0.4), (8, 2.0)]),
+        # species 4's weight vanishes at 0: its column holds zeros, and its
+        # entry to species 5 at 0 (the jump midpoint of phi) is infinite
+        (op.EnsembleSpec(op.LAGUERRE, a=0.0), 5, [(4, 0.0), (5, 0.0), (5, 3.5), (2, 7.2)]),
+        (JAC, 6, [(4, 0.3), (2, 0.75), (6, 0.5), (1, 0.1)]),
+    ], ids=IDS)
+    def test_entries_are_kernel_F_bitwise(self, spec, N, pts):
+        proc = ProcessSpec(spec, N)
+        pts = [SpeciesPoint(s, y) for s, y in pts]
+        signs, logs = kernel_matrix(proc, pts)
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts):
+                f = kernel_F(proc, a, b)
+                assert slog_to_float(signs[i, j], logs[i, j]).hex() == f.hex()
+                if f == 0.0:
+                    assert signs[i, j] == 0.0 and logs[i, j] == NEG_INF
+
+    def test_entries_outside_double_range_keep_their_logs(self):
+        # F from species 790 to 500 of N=800 is e^1034, past the largest double
+        proc = ProcessSpec(GAUSS, 800)
+        p1, p2 = SpeciesPoint(790, 1.2), SpeciesPoint(500, 1.0)
+        signs, logs = kernel_matrix(proc, [p1, p2])
+        assert signs[0, 1] != 0.0 and 1000.0 < logs[0, 1] < 1100.0
+        with pytest.raises(NumericError, match="outside double range"):
+            kernel_F(proc, p1, p2)
 
 
 class TestZeroWeightPoints:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from minorkern.numerics import clenshaw_curtis, interlaced
+from minorkern.numerics import NumericError, clenshaw_curtis, interlaced, slog_to_float
+
+
+class TestSlogToFloat:
+    @pytest.mark.parametrize("lg", [710.0, 1033.7])
+    def test_out_of_range_is_a_numeric_error(self, lg):
+        with pytest.raises(NumericError, match=f"log magnitude {lg:g}"):
+            slog_to_float(1.0, lg)
 
 
 class TestInterlaced:

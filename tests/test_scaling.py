@@ -418,6 +418,21 @@ class TestScaledFinite:
         with pytest.raises(ValueError, match="soft-drift"):
             LimitQuery(SOFT_DRIFT, op.EnsembleSpec(op.JACOBI, 0.5, 1.0), 50, (0.0, 0.5), (0.0, 0.3))
 
+    def test_pair_with_an_infinite_entry_is_zero(self):
+        # species N-1 has weight y e^-y, 0 at the origin: F from there to
+        # species N is infinite, and back 0, so the pair is 0, not NaN
+        q = LimitQuery(HARD_EDGE, LAG0, 60, (0, 1), (0.0, 0.0))
+        assert scaled_finite_kernel(q, 0, 1) == scaled_finite_kernel(q, 1, 0) == 0.0
+
+    def test_soft_edge_limit_pair_is_the_airy_magnitude(self):
+        # the finite side gives the pair's signed geometric mean, so the
+        # limit must too: the Airy kernel is symmetric, and the pair is |K|
+        q = LimitQuery(SOFT_FIXED, GAUSS, 400, (0, 0), (-8.0, -6.25))
+        k = airy_kernel(-8.0, -6.25)
+        assert k < 0.0
+        assert limit_kernel(q, 0, 1) == limit_kernel(q, 1, 0) == -k
+        assert scaled_finite_kernel(q, 0, 1) == pytest.approx(-k, abs=0.05)
+
     def test_realized_offsets_roundtrip(self):
         q = LimitQuery(SOFT_DRIFT, LAG0, 200, (0.0, 0.5), (0.0, 0.3))
         rc = realized_offsets(q)
